@@ -3,7 +3,7 @@
 PYTHON ?= python3
 RUN = PYTHONPATH=src:$$PYTHONPATH $(PYTHON)
 
-.PHONY: install test fuzz fuzz-v4 fuzz-versions bench bench-smoke bench-scale-smoke daemon-smoke metrics-smoke obs-smoke examples results clean
+.PHONY: install test fuzz fuzz-v4 fuzz-versions bench bench-smoke bench-scale-smoke daemon-smoke metrics-smoke obs-smoke ledger-smoke examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -60,6 +60,12 @@ obs-smoke:
 # fail if any catalogued family is missing or an exercised one has no data.
 metrics-smoke:
 	cd benchmarks && BENCH_SMOKE=1 PYTHONPATH=../src:$$PYTHONPATH $(PYTHON) bench_service_throughput.py --emit-metrics
+
+# Bench-ledger self-tests: quick runs of every workload, the compare
+# bounds, and daemon cleanup.  They live outside testpaths, so the tier-1
+# run does not collect them.
+ledger-smoke:
+	$(RUN) -m pytest ledger/ -q
 
 # Regenerate every paper-style table into benchmarks/results/.
 results: bench

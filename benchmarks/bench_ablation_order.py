@@ -8,11 +8,8 @@ size — quantities the paper reasons about but does not tabulate.
 """
 
 from repro.bench.harness import Table, geometric_mean
-from repro.core.builder import build_pestrie
 from repro.core.hub import partition_objective
-from repro.core.intervals import assign_intervals
-from repro.core.pipeline import encode
-from repro.core.rectangles import generate_rectangles
+from repro.core.stages import ENCODE_STAGES, BuildContext, run_stages
 
 from conftest import write_result
 
@@ -20,16 +17,15 @@ ORDERS = ("hub", "simple", "identity", "random")
 
 
 def _measure(matrix, order):
-    pestrie = build_pestrie(matrix, order=order, seed=1)
-    assign_intervals(pestrie)
-    rects = generate_rectangles(pestrie)
+    ctx = BuildContext(matrix, order=order, seed=1)
+    run_stages(ctx, ENCODE_STAGES)
+    pestrie = ctx.artifacts["pestrie"]
     stats = pestrie.stats()
-    size = len(encode(matrix, order=order, seed=1))
     return {
         "cross_edges": stats["cross_edges"],
         "internal_pairs": stats["internal_pairs"],
-        "rectangles": len(rects.rects),
-        "size": size,
+        "rectangles": sum(ctx.artifacts["kept"]),
+        "size": len(ctx.artifacts["payload"]),
         "objective": partition_objective(matrix, pestrie.object_order),
     }
 

@@ -2,26 +2,27 @@
 
 The paper prunes every rectangle whose corner is covered by a stored one
 (Theorem 2 guarantees full enclosure).  This ablation quantifies what the
-segment-tree pass buys: stored-rectangle count and the resulting persistent
-file size with pruning disabled.
+encoder's dedup stage buys: stored-rectangle count and the resulting
+persistent file size when every candidate is kept instead.
 """
 
 from repro.bench.harness import Table, geometric_mean
-from repro.core.builder import build_pestrie
-from repro.core.encoder import PestrieEncoder
-from repro.core.intervals import assign_intervals
-from repro.core.pipeline import rectangles_for
-from repro.core.rectangles import generate_rectangles
+from repro.core.stages import ENCODE_STAGES, BuildContext, run_stages
 
 from conftest import write_result
 
 
-def _sizes(matrix, prune):
-    pestrie = build_pestrie(matrix, order="hub")
-    assign_intervals(pestrie)
-    rects = generate_rectangles(pestrie, prune=prune)
-    data = PestrieEncoder(pestrie, rects.rects).to_bytes()
-    return len(rects.rects), len(rects.pruned), len(data)
+def _sizes(matrix):
+    """Kept and pruned counts, and the file size with and without pruning."""
+    ctx = BuildContext(matrix, order="hub")
+    run_stages(ctx, ENCODE_STAGES[:6])  # normalize → … → dedup
+    kept = ctx.artifacts["kept"]
+    run_stages(ctx, ENCODE_STAGES[6:])
+    size_pruned = len(ctx.artifacts["payload"])
+    # Pruning off: store every candidate, as if no corner test had run.
+    ctx.put("kept", bytearray(b"\x01" * len(kept)))
+    run_stages(ctx, ENCODE_STAGES[6:])
+    return sum(kept), len(kept) - sum(kept), size_pruned, len(ctx.artifacts["payload"])
 
 
 def test_ablation_pruning(encoded_suite, benchmark):
@@ -33,9 +34,7 @@ def test_ablation_pruning(encoded_suite, benchmark):
     savings = []
     for name in ("samba", "php", "antlr", "chart", "fop"):
         matrix = encoded_suite[name].subject.matrix
-        kept, pruned, size_pruned = _sizes(matrix, prune=True)
-        unpruned_total, _, size_unpruned = _sizes(matrix, prune=False)
-        assert unpruned_total == kept + pruned
+        kept, pruned, size_pruned, size_unpruned = _sizes(matrix)
         saving = size_unpruned / size_pruned
         savings.append(saving)
         table.add(
@@ -56,5 +55,7 @@ def test_ablation_pruning(encoded_suite, benchmark):
 
     matrix = encoded_suite["antlr"].subject.matrix
     benchmark.pedantic(
-        lambda: rectangles_for(matrix, prune=True), rounds=2, iterations=1
+        lambda: run_stages(BuildContext(matrix), ENCODE_STAGES[:6]),
+        rounds=2,
+        iterations=1,
     )

@@ -20,7 +20,7 @@ PAIR_LIMIT = 6_000
 RAND_SEED = 9
 
 
-def test_figure7_random_vs_hub_order(encoded_suite, benchmark, artefact_dir):
+def test_figure7_hub_vs_random_order(encoded_suite, benchmark, artefact_dir):
     table = Table(
         title="Figure 7 — Pes_rand / PesP ratios (higher = hub order wins)",
         columns=("Program", "size ratio", "construct ratio", "decode ratio",

@@ -16,7 +16,6 @@ Quickstart::
 
 from .core import (
     PestrieIndex,
-    build_labeled_pestrie,
     build_pestrie,
     encode,
     index_from_bytes,
@@ -40,7 +39,6 @@ __all__ = [
     "PointsToMatrix",
     "ShardedIndex",
     "SparseBitmap",
-    "build_labeled_pestrie",
     "build_pestrie",
     "encode",
     "get_registry",

@@ -1,33 +1,23 @@
-"""Pestrie core: construction, labelling, rectangles, persistence, queries."""
+"""Pestrie core: the staged encoder, persistence, and queries."""
 
 from .builder import ORDER_CHOICES, build_pestrie, resolve_order
 from .decoder import CorruptFileError, PestriePayload, decode_bytes, detect_format, load_payload
-from .encoder import ABSENT, DEFAULT_VERSION, PestrieEncoder, save_pestrie
+from .encoder import ABSENT, DEFAULT_VERSION
 from .ioutil import atomic_write
 from .hub import (
     hub_degrees,
-    hub_order,
     identity_order,
     partition_objective,
     random_order,
-    simple_degree_order,
     simple_degrees,
 )
 from .named import NamedIndex, stem_of
 from .trie import StandardTrie, lemma_3_holds
 from .intervals import assign_intervals, contains, cross_edge_interval, group_interval
-from .pipeline import (
-    build_labeled_pestrie,
-    encode,
-    index_from_bytes,
-    load_index,
-    persist,
-    rectangles_for,
-)
+from .pipeline import encode, index_from_bytes, load_index, persist
 from .query import PestrieIndex
 from .reachability import pointed_by, points_to, verify_theorem_1, xi_reachable_groups
-from .rectangles import LabeledRect, RectangleSet, generate_rectangles
-from .segment_tree import Rect, SegmentTree
+from .segment_tree import Rect
 from .stages import (
     ENCODE_STAGES,
     BuildContext,
@@ -38,6 +28,7 @@ from .stages import (
     StageReport,
     make_executor,
     run_pipeline,
+    run_stages,
 )
 from .structure import CrossEdge, Group, Pestrie
 
@@ -51,35 +42,28 @@ __all__ = [
     "CorruptFileError",
     "CrossEdge",
     "Group",
-    "LabeledRect",
     "NamedIndex",
     "StandardTrie",
     "Pestrie",
-    "PestrieEncoder",
     "PestrieIndex",
     "PestriePayload",
     "ProcessExecutor",
     "Rect",
-    "RectangleSet",
-    "SegmentTree",
     "SerialExecutor",
     "Stage",
     "StageReport",
     "assign_intervals",
     "atomic_write",
-    "build_labeled_pestrie",
     "build_pestrie",
     "contains",
     "cross_edge_interval",
     "decode_bytes",
     "detect_format",
     "encode",
-    "generate_rectangles",
     "group_interval",
     "hub_degrees",
     "lemma_3_holds",
     "stem_of",
-    "hub_order",
     "identity_order",
     "index_from_bytes",
     "load_index",
@@ -90,11 +74,9 @@ __all__ = [
     "pointed_by",
     "points_to",
     "random_order",
-    "rectangles_for",
     "resolve_order",
     "run_pipeline",
-    "save_pestrie",
-    "simple_degree_order",
+    "run_stages",
     "simple_degrees",
     "verify_theorem_1",
     "xi_reachable_groups",

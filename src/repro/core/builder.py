@@ -24,11 +24,21 @@ from typing import Optional, Sequence
 
 from ..matrix.points_to import PointsToMatrix
 from ..obs import get_registry, trace
-from . import hub
 from .structure import Pestrie
 
 #: Recognised object-order heuristics for :func:`build_pestrie`.
 ORDER_CHOICES = ("hub", "simple", "random", "identity")
+
+
+def _run_front(matrix: PointsToMatrix, last: str, order: str,
+               seed: Optional[int], explicit_order: Optional[Sequence[int]]) -> dict:
+    """Run the encode stages up to and including ``last``; return the artefacts."""
+    from .stages import ENCODE_STAGES, BuildContext, run_stages  # stages builds on this module
+
+    names = [stage.name for stage in ENCODE_STAGES]
+    ctx = BuildContext(matrix, order=order, seed=seed, explicit_order=explicit_order)
+    run_stages(ctx, ENCODE_STAGES[: names.index(last) + 1])
+    return ctx.artifacts
 
 
 def resolve_order(
@@ -37,33 +47,11 @@ def resolve_order(
     seed: Optional[int] = None,
     explicit: Optional[Sequence[int]] = None,
 ) -> list:
-    """Turn an order name (or an explicit permutation) into an object order."""
-    if explicit is not None:
-        return hub.validate_order(explicit, matrix.n_objects)
-    if order == "hub":
-        return hub.hub_order(matrix)
-    if order == "simple":
-        return hub.simple_degree_order(matrix)
-    if order == "random":
-        return hub.random_order(matrix, seed)
-    if order == "identity":
-        return hub.identity_order(matrix)
-    raise ValueError("unknown object order %r; expected one of %s" % (order, ORDER_CHOICES))
+    """Turn an order name (or an explicit permutation) into an object order.
 
-
-def rows_by_object(matrix: PointsToMatrix) -> list:
-    """Pointed-by adjacency: ascending pointer ids per object.
-
-    Equivalent to iterating ``matrix.transpose().rows`` but built with one
-    list-append pass over the PM rows — no sparse-bitmap block churn, which
-    is what made the transpose the build path's super-linear hot spot at
-    10^5+ pointers.
+    Runs the pipeline's ``normalize`` and ``order`` stages.
     """
-    rows: list = [[] for _ in range(matrix.n_objects)]
-    for pointer, row in enumerate(matrix.rows):
-        for obj in row:
-            rows[obj].append(pointer)
-    return rows
+    return _run_front(matrix, "order", order, seed, explicit)["object_order"]
 
 
 def build_pestrie(
@@ -77,19 +65,10 @@ def build_pestrie(
     ``order`` selects the heuristic (``"hub"`` is the paper's default;
     ``"random"`` is the Figure 7 baseline; ``"identity"`` reproduces the
     worked example).  ``explicit_order`` overrides the heuristic with a
-    caller-supplied permutation.
+    caller-supplied permutation.  Runs the pipeline's ``normalize``,
+    ``order`` and ``trie`` stages; the trie is not interval-labelled.
     """
-    start = time.perf_counter()
-    with trace.span("build.pestrie", pointers=matrix.n_pointers,
-                    objects=matrix.n_objects, order=order):
-        object_order = resolve_order(matrix, order, seed, explicit_order)
-        pestrie = _build_from_rows(matrix.n_pointers, matrix.n_objects,
-                                   object_order, rows_by_object(matrix))
-    registry = get_registry()
-    registry.counter("repro_build_runs_total").inc()
-    registry.counter("repro_build_groups_total").inc(len(pestrie.groups))
-    registry.histogram("repro_build_seconds").observe(time.perf_counter() - start)
-    return pestrie
+    return _run_front(matrix, "trie", order, seed, explicit_order)["pestrie"]
 
 
 def build_pestrie_from_rows(
@@ -99,11 +78,8 @@ def build_pestrie_from_rows(
     rows: Sequence[Sequence[int]],
     order_name: str = "staged",
 ) -> Pestrie:
-    """Staged-pipeline entry: construct from a precomputed object order and
-    pointed-by adjacency (``rows[obj]`` = ascending pointer ids).
-
-    Emits the same telemetry as :func:`build_pestrie`; the resulting trie is
-    identical to building from the matrix with the same order.
+    """Construct from a resolved object order and the pointed-by adjacency
+    (``rows[obj]`` = ascending pointer ids); the pipeline's ``trie`` stage.
     """
     start = time.perf_counter()
     with trace.span("build.pestrie", pointers=n_pointers,

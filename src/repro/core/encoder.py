@@ -1,4 +1,4 @@
-"""Pestrie persistent-file writer (Section 3.4.2, Figure 5).
+"""Pestrie persistent-file format constants (Section 3.4.2, Figure 5).
 
 Three format versions share one logical layout (all integers little-endian):
 
@@ -20,18 +20,15 @@ The shared logical layout is:
 
 Splitting rectangles by shape is the paper's size trick: a degenerate
 rectangle is a point (2 integers) or a line (3 integers) instead of 4.
+The writer is the ``sections`` and ``assemble`` stages of
+``repro.core.stages``; this module holds what writer and readers share.
 """
 
 from __future__ import annotations
 
 import struct
-import time
-from typing import BinaryIO, List, Sequence, Tuple
+from typing import List
 
-from ..obs import get_registry, trace
-from .ioutil import atomic_write, crc32
-from .rectangles import LabeledRect
-from .segment_tree import Rect
 from .structure import Pestrie
 
 MAGIC_RAW = b"PESTRIE1"
@@ -58,6 +55,7 @@ FLAG_COMPACT = 0x01
 #: Timestamp sentinel for pointers outside the trie (empty points-to set).
 ABSENT = 0xFFFFFFFF
 
+#: Every fixed-width integer in the format: little-endian uint32.
 _U32 = struct.Struct("<I")
 
 
@@ -73,27 +71,6 @@ def pointer_timestamps(pestrie: Pestrie) -> List[int]:
 def object_timestamps(pestrie: Pestrie) -> List[int]:
     """Per-object origin-group pre-order timestamps."""
     return [pestrie.pre_order[pestrie.group_of_object[obj]] for obj in range(pestrie.n_objects)]
-
-
-def _classify(rect: Rect) -> str:
-    if rect.x1 == rect.x2 and rect.y1 == rect.y2:
-        return "point"
-    if rect.x1 == rect.x2:
-        return "vline"
-    if rect.y1 == rect.y2:
-        return "hline"
-    return "rect"
-
-
-_SHAPES = ("point", "vline", "hline", "rect")
-
-#: Integers stored per shape entry.
-_SHAPE_FIELDS = {
-    "point": lambda r: (r.x1, r.y1),
-    "vline": lambda r: (r.x1, r.y1, r.y2),
-    "hline": lambda r: (r.x1, r.x2, r.y1),
-    "rect": lambda r: (r.x1, r.x2, r.y1, r.y2),
-}
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -128,172 +105,3 @@ def validate_version(version: int, compact: bool) -> bool:
             "zero-copy over the mapped bytes; compact coding is not available"
         )
     return True if version == 2 else compact
-
-
-def _encode_ints(values: Sequence[int], compact: bool) -> bytes:
-    if not compact:
-        return b"".join(_U32.pack(v) for v in values)
-    out = bytearray()
-    for value in values:
-        _write_varint(out, value)
-    return bytes(out)
-
-
-class PestrieEncoder:
-    """Serialises a labelled Pestrie plus its rectangle set to bytes.
-
-    ``version`` selects the on-disk format: 1 (raw uint32), 2 (varint/delta,
-    implies ``compact``), 3 (the default: checksummed header with
-    per-section lengths; ``compact`` selects the integer coding) or 4 (the
-    flat zero-copy layout: the ``PESTRIE3`` sections in raw coding plus
-    directly queryable struct-of-arrays sections, see ``repro.core.flat``).
-    """
-
-    def __init__(
-        self,
-        pestrie: Pestrie,
-        rects: Sequence[LabeledRect],
-        compact: bool = False,
-        version: int = DEFAULT_VERSION,
-    ):
-        compact = validate_version(version, compact)
-        self.pestrie = pestrie
-        self.rects = list(rects)
-        self.compact = compact
-        self.version = version
-
-    def _sections(self) -> Tuple[dict, dict]:
-        """Bucket rectangles into ``(case1, case2)`` shape dictionaries."""
-        case1 = {shape: [] for shape in _SHAPES}
-        case2 = {shape: [] for shape in _SHAPES}
-        for entry in self.rects:
-            bucket = case1 if entry.case1 else case2
-            bucket[_classify(entry.rect)].append(entry.rect)
-        for buckets in (case1, case2):
-            for shape in _SHAPES:
-                # Sorting by the leading coordinate makes delta encoding in
-                # the compact format effective and the output canonical.
-                buckets[shape].sort(key=Rect.as_tuple)
-        return case1, case2
-
-    def _section_payloads(self) -> Tuple[List[int], List[bytes]]:
-        """The header integers and the ten encoded section payloads.
-
-        Section order on disk: pointer timestamps, object timestamps, then
-        the eight rectangle sections (all Case-1 shapes, then all Case-2).
-        """
-        pestrie = self.pestrie
-        case1, case2 = self._sections()
-
-        header = [pestrie.n_pointers, pestrie.n_objects, len(pestrie.groups)]
-        for shape in _SHAPES:
-            header.append(len(case1[shape]))
-            header.append(len(case2[shape]))
-
-        sections = [
-            _encode_ints(pointer_timestamps(pestrie), self.compact),
-            _encode_ints(object_timestamps(pestrie), self.compact),
-        ]
-        for buckets in (case1, case2):
-            for shape in _SHAPES:
-                fields = _SHAPE_FIELDS[shape]
-                flat: List[int] = []
-                previous_lead = 0
-                for rect in buckets[shape]:
-                    values = list(fields(rect))
-                    if self.compact:
-                        # Delta-encode the leading coordinate within the
-                        # section; the remaining fields are offsets from it.
-                        lead = values[0]
-                        encoded = [lead - previous_lead] + [v - lead for v in values[1:]]
-                        previous_lead = lead
-                        flat.extend(encoded)
-                    else:
-                        flat.extend(values)
-                sections.append(_encode_ints(flat, self.compact))
-        return header, sections
-
-    def to_bytes(self) -> bytes:
-        start = time.perf_counter()
-        with trace.span("encode.serialize", rects=len(self.rects),
-                        version=self.version, compact=self.compact):
-            payload = self._to_bytes()
-        registry = get_registry()
-        registry.counter("repro_encode_runs_total").inc()
-        registry.gauge("repro_encode_bytes").set(len(payload))
-        registry.histogram("repro_encode_seconds").observe(time.perf_counter() - start)
-        return payload
-
-    def _to_bytes(self) -> bytes:
-        header, sections = self._section_payloads()
-        header_bytes = b"".join(_U32.pack(v) for v in header)
-        if self.version < 3:
-            magic = MAGIC_COMPACT if self.compact else MAGIC_RAW
-            return b"".join([magic, header_bytes] + sections)
-        lengths = b"".join(_U32.pack(len(section)) for section in sections)
-        if self.version == 4:
-            return self._to_bytes_v4(header_bytes, lengths, sections)
-        body = b"".join(
-            [
-                MAGIC_V3,
-                bytes([FLAG_COMPACT if self.compact else 0]),
-                header_bytes,
-                lengths,
-            ]
-            + sections
-        )
-        return body + _U32.pack(crc32(body))
-
-    def _to_bytes_v4(self, header_bytes: bytes, lengths: bytes,
-                     sections: List[bytes]) -> bytes:
-        # Deferred import: ``flat`` pulls in the decoder, which imports this
-        # module for the magic constants.
-        from .flat import build_flat_sections
-
-        case1, case2 = self._sections()
-        # The flat structures are derived from the rectangles in on-disk
-        # decode order, so the slab entry lists come out identical to the
-        # ones a lazy ``PestrieIndex`` builds from the decoded sections.
-        decode_order = [(rect, True) for shape in _SHAPES for rect in case1[shape]]
-        decode_order += [(rect, False) for shape in _SHAPES for rect in case2[shape]]
-        counts, flat_sections = build_flat_sections(
-            pointer_timestamps(self.pestrie),
-            object_timestamps(self.pestrie),
-            decode_order,
-        )
-        body = b"".join(
-            [
-                MAGIC_V4,
-                bytes([0]),
-                header_bytes,
-                lengths,
-                struct.pack("<4I", *counts),
-            ]
-            + sections
-            + flat_sections
-        )
-        return body + _U32.pack(crc32(body))
-
-    def write(self, stream: BinaryIO) -> int:
-        payload = self.to_bytes()
-        stream.write(payload)
-        return len(payload)
-
-
-def save_pestrie(
-    pestrie: Pestrie,
-    rects: Sequence[LabeledRect],
-    path: str,
-    compact: bool = False,
-    version: int = DEFAULT_VERSION,
-) -> int:
-    """Write the persistent file atomically; return its size in bytes.
-
-    The bytes land in a temporary file in the target directory which is
-    fsynced and renamed over ``path``, so a crash mid-write never leaves a
-    torn persistent file behind.
-    """
-    encoder = PestrieEncoder(pestrie, rects, compact=compact, version=version)
-    payload = encoder.to_bytes()
-    atomic_write(path, payload)
-    return len(payload)

@@ -11,8 +11,10 @@ hub-degree order; Theorem 3 shows the induced uneven partition maximises the
 internal-pair objective, and Comer's trie heuristic argues it also keeps the
 cross-edge count low.
 
-Alternative orders (simple pointed-by count, random, caller-supplied) are
-provided for the Figure 7 experiment and our ordering ablation.
+The ``order`` stage of ``repro.core.stages`` turns these metrics into the
+construction order (descending degree, ties by ascending id); the random
+and identity orders here serve the Figure 7 experiment and the worked
+example.
 """
 
 from __future__ import annotations
@@ -42,22 +44,6 @@ def simple_degrees(matrix: PointsToMatrix) -> List[int]:
         for obj in row:
             counts[obj] += 1
     return counts
-
-
-def hub_order(matrix: PointsToMatrix) -> List[int]:
-    """Objects sorted by descending hub degree (ties by ascending id).
-
-    This is the paper's construction order; the id tie-break makes the
-    resulting Pestrie deterministic.
-    """
-    degrees = hub_degrees(matrix)
-    return sorted(range(matrix.n_objects), key=lambda obj: (-degrees[obj], obj))
-
-
-def simple_degree_order(matrix: PointsToMatrix) -> List[int]:
-    """Objects sorted by descending pointed-by count (ablation order)."""
-    degrees = simple_degrees(matrix)
-    return sorted(range(matrix.n_objects), key=lambda obj: (-degrees[obj], obj))
 
 
 def random_order(matrix: PointsToMatrix, seed: Optional[int] = None) -> List[int]:

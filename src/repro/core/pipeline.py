@@ -12,26 +12,11 @@ from typing import Optional, Sequence
 
 from ..matrix.points_to import PointsToMatrix
 from ..obs import trace
-from .builder import build_pestrie
 from .decoder import decode_bytes, load_payload
 from .encoder import DEFAULT_VERSION
-from .intervals import assign_intervals
+from .ioutil import atomic_write
 from .query import PestrieIndex
-from .rectangles import RectangleSet, generate_rectangles
-from .structure import Pestrie
-
-
-def build_labeled_pestrie(
-    matrix: PointsToMatrix,
-    order: str = "hub",
-    seed: Optional[int] = None,
-    explicit_order: Optional[Sequence[int]] = None,
-) -> Pestrie:
-    """Construct a Pestrie and assign its interval labels."""
-    pestrie = build_pestrie(matrix, order=order, seed=seed, explicit_order=explicit_order)
-    with trace.span("build.intervals", groups=len(pestrie.groups)):
-        assign_intervals(pestrie)
-    return pestrie
+from .stages import run_pipeline
 
 
 def encode(
@@ -49,8 +34,6 @@ def encode(
     fans the parallel stages out over that many worker processes, with
     output byte-identical to the serial run.
     """
-    from .stages import run_pipeline  # deferred: stages builds on this layer
-
     with trace.span("encode", pointers=matrix.n_pointers, objects=matrix.n_objects):
         return run_pipeline(matrix, order=order, seed=seed,
                             explicit_order=explicit_order, compact=compact,
@@ -67,10 +50,11 @@ def persist(
     version: int = DEFAULT_VERSION,
     jobs: Optional[int] = None,
 ) -> int:
-    """Encode ``matrix`` and write the persistent file; return its size."""
-    from .ioutil import atomic_write
-    from .stages import run_pipeline  # deferred: stages builds on this layer
+    """Encode ``matrix`` and write the persistent file; return its size.
 
+    The write is atomic (``ioutil.atomic_write``): a crash mid-write never
+    leaves a torn persistent file behind.
+    """
     with trace.span("persist", pointers=matrix.n_pointers, objects=matrix.n_objects):
         payload = run_pipeline(matrix, order=order, seed=seed,
                                explicit_order=explicit_order, compact=compact,
@@ -120,13 +104,3 @@ def load_index(path: str, mode: str = "ptlist", lazy: bool = False) -> PestrieIn
     with trace.span("index.build", mode=mode):
         return PestrieIndex(payload, mode=mode)
 
-
-def rectangles_for(
-    matrix: PointsToMatrix,
-    order: str = "hub",
-    seed: Optional[int] = None,
-    prune: bool = True,
-) -> RectangleSet:
-    """Expose the rectangle set for a matrix (ablation/benchmark hook)."""
-    pestrie = build_labeled_pestrie(matrix, order=order, seed=seed)
-    return generate_rectangles(pestrie, prune=prune)

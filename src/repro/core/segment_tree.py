@@ -1,10 +1,10 @@
 """Segment tree for rectangle point-enclosure queries (Section 3.4.1).
 
-During rectangle generation the encoder must test whether the corner of a
-candidate rectangle is covered by an already-stored one (Theorem 2 then
-licenses discarding the whole candidate).  The paper's structure: a segment
-tree over the x-axis ``[0, Ne)`` where every node owns the rectangles whose
-x-interval crosses its midline, kept sorted by their ``Y1`` coordinate.
+The low-memory query structure of Table 7 (``PestrieIndex(mode="segment")``):
+an ``IsAlias`` question is a point-enclosure query over the stored
+rectangles.  The paper's structure: a segment tree over the x-axis
+``[0, Ne)`` where every node owns the rectangles whose x-interval crosses
+its midline, kept sorted by their ``Y1`` coordinate.
 
 Because stored rectangles are pairwise disjoint and all rectangles at a node
 share an x-point (the midline), their y-intervals are pairwise disjoint too
@@ -67,8 +67,8 @@ class _Node:
 class SegmentTree:
     """Point-enclosure structure over x-range ``[0, size)``.
 
-    Only correct for pairwise-disjoint rectangle sets; the encoder maintains
-    that invariant by construction (Theorem 2 pruning).
+    Only correct for pairwise-disjoint rectangle sets; the encoder's
+    Theorem 2 pruning guarantees that for every stored file.
     """
 
     def __init__(self, size: int):
@@ -76,18 +76,12 @@ class SegmentTree:
             size = 1
         self._root = _Node(0, size)
         self._count = 0
-        # Plain-int telemetry counters: the tree sits on the single-threaded
-        # encode hot path, so increments stay lock-free here and the caller
-        # (rectangle generation) flushes them into the shared registry once.
-        self.insert_count = 0
-        self.probe_count = 0
 
     def __len__(self) -> int:
         return self._count
 
     def insert(self, rect: Rect) -> None:
         """Store a rectangle at the highest node whose midline it crosses."""
-        self.insert_count += 1
         node = self._root
         while True:
             mid = node.mid
@@ -108,7 +102,6 @@ class SegmentTree:
 
     def find_covering(self, x: int, y: int) -> Optional[Rect]:
         """The unique stored rectangle covering ``(x, y)``, or ``None``."""
-        self.probe_count += 1
         node = self._root
         while node is not None:
             if node.keys:

@@ -1,17 +1,15 @@
-"""The staged build pipeline: the encode path as named, testable stages.
+"""The staged build pipeline: the one encode path, as named, testable stages.
 
-The legacy encode path was an implicit call chain (builder → hub →
-rectangles → segment tree → encoder glued together in ``pipeline``).  This
-module makes every step an explicit :class:`Stage` with a declared
-input/output contract over a :class:`BuildContext`, executed by a pluggable
-executor:
+Every step from a points-to matrix to persistent-file bytes is a
+:class:`Stage` with a declared input/output contract over a
+:class:`BuildContext`, executed by a pluggable executor:
 
 ========== ========================================== ========== =========
 stage      contract (inputs → outputs)                parallel   cost
 ========== ========================================== ========== =========
-normalize  matrix → csr, rows_by_object               no         O(facts)
+normalize  matrix → csr, pointed_by                   no         O(facts)
 order      csr → object_order                         hub scores O(facts)
-trie       rows_by_object, object_order → pestrie     no         O(nm)
+trie       pointed_by, object_order → pestrie         no         O(nm)
 intervals  pestrie → pestrie (labelled)               no         O(groups)
 rectangles pestrie → candidates, interval_forest      per-origin O(cands)
 dedup      candidates, interval_forest → kept         no         O(cands·d)
@@ -20,21 +18,27 @@ sections   pestrie, candidates, kept → header,        varint     O(R log R)
 assemble   header, sections → payload                 no         O(bytes)
 ========== ========================================== ========== =========
 
+:func:`run_stages` runs any slice of :data:`ENCODE_STAGES`, so the trie
+(``build_pestrie``), the candidate rectangles and the Theorem 2 ``kept``
+mask are read from the same code that writes the file: after
+``ENCODE_STAGES[:6]`` the unpruned rectangle set is all of ``candidates``
+and the pruned set is the candidates whose ``kept`` byte is 0.
+
 Parallel stages fan out over chunked ``array``-based payloads through
 ``Executor.map`` and merge results in task order, so the output bytes are
 identical for every worker count — ``encode --jobs N`` is byte-for-byte
 the serial file.
 
-**Dedup without the segment tree.**  The Theorem 2 corner test is
+**Dedup without a segment tree.**  The Theorem 2 corner test is
 reformulated over the laminar family of candidate side intervals: every
 side is a DFS prefix range ``[I_y, E_child]`` or a full PES block, so any
 two sides are nested or disjoint, and same-start sides of one target node
 only shrink as later origins add cross edges.  Hence a candidate's corner
 is covered by an earlier *kept* rectangle iff some ancestor pair of its two
 side intervals was kept before it — a dictionary-membership test over
-packed interval-id pairs that needs no tree at all, is an order of
-magnitude faster, and provably discards exactly the rectangles the
-segment-tree sweep discards (pinned by differential tests).
+packed interval-id pairs.  The Theorem 2 property tests (pruned candidates
+are enclosed, pruning is lossless, Case-1 is never pruned) and the pinned
+digests in ``tests/fixtures/encode_sha256.json`` are its references.
 """
 
 from __future__ import annotations
@@ -51,15 +55,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..matrix.points_to import PointsToMatrix
 from ..obs import get_registry, trace
 from . import hub
-from .builder import build_pestrie_from_rows, resolve_order
+from .builder import ORDER_CHOICES, build_pestrie_from_rows
 from .encoder import (
-    ABSENT,
     DEFAULT_VERSION,
     FLAG_COMPACT,
     MAGIC_COMPACT,
     MAGIC_RAW,
     MAGIC_V3,
     MAGIC_V4,
+    _U32,
     _write_varint,
     object_timestamps,
     pointer_timestamps,
@@ -68,13 +72,6 @@ from .encoder import (
 from .intervals import assign_intervals
 from .ioutil import crc32
 from .segment_tree import Rect
-
-_U32 = struct.Struct("<I")
-
-#: Rows per varint-encoding task; small enough to balance 16 workers on a
-#: 10^5-pointer section, large enough that pickling is noise.
-_SECTION_CHUNK_ROWS = 65536
-
 
 # ----------------------------------------------------------------------
 # Executors
@@ -242,7 +239,7 @@ def _stage_normalize(ctx: BuildContext) -> None:
             rows_of_object[obj].append(pointer)
         append_ptr(len(cols))
     ctx.put("csr", (row_ptr, cols))
-    ctx.put("rows_by_object", rows_of_object)
+    ctx.put("pointed_by", rows_of_object)
 
 
 # ----------------------------------------------------------------------
@@ -267,13 +264,19 @@ def _hub_chunk(payload):
 
 
 def _stage_order(ctx: BuildContext) -> None:
+    """Resolve the object order: an explicit permutation or a heuristic.
+
+    ``hub`` is Definition 1 (descending hub degree), ``simple`` the
+    pointed-by count; both break ties by ascending object id so the trie is
+    deterministic.  ``random`` is Figure 7's Pes_rand baseline and
+    ``identity`` reproduces the paper's worked example.
+    """
     matrix = ctx.matrix
+    n_objects = matrix.n_objects
     if ctx.explicit_order is not None:
-        ctx.put("object_order", hub.validate_order(ctx.explicit_order, matrix.n_objects))
-        return
-    if ctx.order == "hub":
+        order = hub.validate_order(ctx.explicit_order, n_objects)
+    elif ctx.order == "hub":
         row_ptr, cols = ctx.require("csr")
-        n_objects = matrix.n_objects
         bounds = _chunk_bounds(matrix.n_pointers, ctx.executor.jobs * 4)
         payloads = [
             (n_objects, row_ptr[a : b + 1], cols[row_ptr[a] : row_ptr[b]])
@@ -284,20 +287,21 @@ def _stage_order(ctx: BuildContext) -> None:
             for obj, value in enumerate(part):
                 if value:
                     totals[obj] += value
-        # Integer partial sums merge exactly, so sqrt + the id tie-break
-        # reproduce hub.hub_order bit-for-bit regardless of chunking.
+        # Integer partial sums merge exactly, so the order is the same
+        # regardless of chunking.
         degrees = [math.sqrt(total) for total in totals]
         order = sorted(range(n_objects), key=lambda obj: (-degrees[obj], obj))
-        ctx.put("object_order", order)
-        return
-    if ctx.order == "simple":
-        rows_of_object = ctx.require("rows_by_object")
-        degrees = [len(row) for row in rows_of_object]
-        ctx.put("object_order", sorted(range(matrix.n_objects),
-                                       key=lambda obj: (-degrees[obj], obj)))
-        return
-    # random / identity / unknown-name errors: defer to the one resolver.
-    ctx.put("object_order", resolve_order(matrix, ctx.order, ctx.seed))
+    elif ctx.order == "simple":
+        degrees = [len(row) for row in ctx.require("pointed_by")]
+        order = sorted(range(n_objects), key=lambda obj: (-degrees[obj], obj))
+    elif ctx.order == "random":
+        order = hub.random_order(matrix, ctx.seed)
+    elif ctx.order == "identity":
+        order = hub.identity_order(matrix)
+    else:
+        raise ValueError("unknown object order %r; expected one of %s"
+                         % (ctx.order, ORDER_CHOICES))
+    ctx.put("object_order", order)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +315,7 @@ def _stage_trie(ctx: BuildContext) -> None:
         matrix.n_pointers,
         matrix.n_objects,
         ctx.require("object_order"),
-        ctx.require("rows_by_object"),
+        ctx.require("pointed_by"),
         order_name=ctx.order if ctx.explicit_order is None else "explicit",
     )
     ctx.put("pestrie", pestrie)
@@ -387,7 +391,7 @@ def _rect_chunk(payload):
 
 def _stage_rectangles(ctx: BuildContext) -> None:
     pestrie = ctx.require("pestrie")
-    if not pestrie.pre_order:
+    if len(pestrie.pre_order) != len(pestrie.groups):
         raise ValueError("interval labels missing; run assign_intervals first")
     pre = pestrie.pre_order
     max_pre = pestrie.max_pre_order
@@ -542,8 +546,6 @@ def _stage_dedup(ctx: BuildContext) -> None:
     registry.counter("repro_encode_rectangles_total", case="case2").inc(
         kept_total - case1_total)
     registry.counter("repro_encode_rect_pruned_total").inc(total - kept_total)
-    registry.counter("repro_encode_segment_inserts_total").inc(kept_total)
-    registry.counter("repro_encode_segment_probes_total").inc(total)
 
 
 # ----------------------------------------------------------------------
@@ -716,9 +718,9 @@ def _stage_assemble(ctx: BuildContext) -> None:
 # ----------------------------------------------------------------------
 
 ENCODE_STAGES: Tuple[Stage, ...] = (
-    Stage("normalize", ("matrix",), ("csr", "rows_by_object"), False, _stage_normalize),
-    Stage("order", ("csr", "rows_by_object"), ("object_order",), True, _stage_order),
-    Stage("trie", ("rows_by_object", "object_order"), ("pestrie",), False, _stage_trie),
+    Stage("normalize", ("matrix",), ("csr", "pointed_by"), False, _stage_normalize),
+    Stage("order", ("csr", "pointed_by"), ("object_order",), True, _stage_order),
+    Stage("trie", ("pointed_by", "object_order"), ("pestrie",), False, _stage_trie),
     Stage("intervals", ("pestrie",), (), False, _stage_intervals),
     Stage("rectangles", ("pestrie",), ("candidates", "interval_forest"), True,
           _stage_rectangles),
@@ -727,6 +729,38 @@ ENCODE_STAGES: Tuple[Stage, ...] = (
           _stage_sections),
     Stage("assemble", ("header", "sections"), ("payload",), False, _stage_assemble),
 )
+
+
+def run_stages(
+    ctx: BuildContext,
+    stages: Sequence[Stage],
+    report: Optional[BuildReport] = None,
+) -> None:
+    """Run ``stages`` in order on ``ctx``, checking each stage's contract.
+
+    Every stage runs under a ``stage.<name>`` span and is timed into
+    ``repro_stage_seconds{stage}``; pass ``report`` to also collect its
+    wall clock and peak RSS.  Any prefix of :data:`ENCODE_STAGES` is a
+    valid slice, and so is a suffix whose inputs are already in ``ctx``.
+    """
+    registry = get_registry()
+    for stage in stages:
+        for key in stage.inputs:
+            if key != "matrix":
+                ctx.require(key)
+        start = time.perf_counter()
+        with trace.span("stage.%s" % stage.name):
+            stage.run(ctx)
+        elapsed = time.perf_counter() - start
+        for key in stage.outputs:
+            ctx.require(key)
+        registry.histogram("repro_stage_seconds", stage=stage.name).observe(elapsed)
+        if report is not None:
+            report.stages.append(StageReport(
+                name=stage.name,
+                seconds=elapsed,
+                peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            ))
 
 
 def run_pipeline(
@@ -741,12 +775,12 @@ def run_pipeline(
     executor=None,
     report: Optional[BuildReport] = None,
 ) -> bytes:
-    """Run the staged encode pipeline; returns the persistent-file bytes.
+    """Run all of :data:`ENCODE_STAGES`; returns the persistent-file bytes.
 
-    The output is byte-identical to the legacy
-    ``build → rectangles → PestrieEncoder`` chain for every version/coding,
-    and identical across executors and worker counts.  Pass ``report`` to
-    collect per-stage wall clock and peak RSS.
+    The output is identical across executors and worker counts, and is
+    pinned by the SHA-256 digests in ``tests/fixtures/encode_sha256.json``
+    for every version/coding/order.  Pass ``report`` to collect per-stage
+    wall clock and peak RSS.
     """
     compact = validate_version(version, compact)
     owns_executor = executor is None
@@ -761,41 +795,18 @@ def run_pipeline(
         version=version,
         executor=executor,
     )
-    registry = get_registry()
-    stage_seconds: Dict[str, float] = {}
     try:
         with trace.span("encode.staged", pointers=matrix.n_pointers,
                         objects=matrix.n_objects, jobs=executor.jobs):
-            for stage in ENCODE_STAGES:
-                for key in stage.inputs:
-                    if key != "matrix":
-                        ctx.require(key)
-                start = time.perf_counter()
-                with trace.span("stage.%s" % stage.name):
-                    stage.run(ctx)
-                elapsed = time.perf_counter() - start
-                stage_seconds[stage.name] = elapsed
-                for key in stage.outputs:
-                    ctx.require(key)
-                registry.histogram("repro_stage_seconds",
-                                   stage=stage.name).observe(elapsed)
-                if report is not None:
-                    report.stages.append(StageReport(
-                        name=stage.name,
-                        seconds=elapsed,
-                        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-                    ))
+            run_stages(ctx, ENCODE_STAGES, report)
     finally:
         if owns_executor:
             executor.close()
     if report is not None:
         report.jobs = executor.jobs
     payload = ctx.artifacts["payload"]
+    registry = get_registry()
     registry.gauge("repro_encode_parallel_jobs").set(executor.jobs)
     registry.counter("repro_encode_runs_total").inc()
     registry.gauge("repro_encode_bytes").set(len(payload))
-    registry.histogram("repro_rectangles_seconds").observe(
-        stage_seconds.get("rectangles", 0.0) + stage_seconds.get("dedup", 0.0))
-    registry.histogram("repro_encode_seconds").observe(
-        stage_seconds.get("sections", 0.0) + stage_seconds.get("assemble", 0.0))
     return payload

@@ -89,7 +89,8 @@ class StandardTrie:
 def lemma_3_holds(matrix: PointsToMatrix, object_order: Optional[Sequence[int]] = None) -> bool:
     """Check ``|cross edges| == |trie| − j`` after every prefix of rows.
 
-    Builds the Pestrie and the standard trie side by side under the same
+    Builds the Pestrie (the encode pipeline's ``trie`` stage, via
+    ``build_pestrie``) and the standard trie side by side under the same
     object order and compares the two traces.
     """
     from .builder import build_pestrie
@@ -97,6 +98,7 @@ def lemma_3_holds(matrix: PointsToMatrix, object_order: Optional[Sequence[int]] 
     order = list(object_order) if object_order is not None else list(range(matrix.n_objects))
     trie = StandardTrie(matrix, order)
     trie.process_all()
+    pointed_by = matrix.transpose().rows
 
     # Re-run the Pestrie construction prefix by prefix.  O(m) full builds —
     # fine for test-sized matrices.
@@ -105,11 +107,9 @@ def lemma_3_holds(matrix: PointsToMatrix, object_order: Optional[Sequence[int]] 
         # Restrict the matrix to the first j objects of the order.
         restricted = PointsToMatrix(matrix.n_pointers, matrix.n_objects)
         for obj in prefix:
-            for pointer in matrix.transpose().rows[obj]:
+            for pointer in pointed_by[obj]:
                 restricted.add(pointer, obj)
-        pestrie = build_pestrie(restricted, explicit_order=prefix + [
-            obj for obj in range(matrix.n_objects) if obj not in set(prefix)
-        ])
+        pestrie = build_pestrie(restricted, explicit_order=prefix + order[j:])
         # Only cross edges created while processing the prefix count; the
         # remaining objects have empty rows and create none.
         if len(pestrie.cross_edges) != trie.size_trace[j - 1] - j:

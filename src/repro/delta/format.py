@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.decoder import CorruptFileError, _Reader, base_image_size
-from ..core.encoder import FLAG_COMPACT, MAGIC_DELTA, MAGIC_DELTA2, _encode_ints
+from ..core.encoder import FLAG_COMPACT, MAGIC_DELTA, MAGIC_DELTA2, _write_varint
 from ..core.ioutil import crc32
 
 _U32 = struct.Struct("<I")
@@ -118,14 +118,14 @@ def _check_facts(kind: str, facts: Sequence[Fact]) -> None:
 
 def _encode_facts(facts: Sequence[Fact], compact: bool) -> bytes:
     if not compact:
-        return _encode_ints([value for fact in facts for value in fact], False)
-    flat: List[int] = []
+        return b"".join(_U32.pack(value) for fact in facts for value in fact)
+    out = bytearray()
     previous_pointer = 0
     for pointer, obj in facts:
-        flat.append(pointer - previous_pointer)
-        flat.append(obj)
+        _write_varint(out, pointer - previous_pointer)
+        _write_varint(out, obj)
         previous_pointer = pointer
-    return _encode_ints(flat, True)
+    return bytes(out)
 
 
 def encode_record(inserts: Iterable[Fact], deletes: Iterable[Fact],

@@ -32,15 +32,11 @@ CATALOGUE = {
     # --- staged pipeline (core/stages.py) -----------------------------
     "repro_stage_seconds": (HISTOGRAM, "Wall time of one staged-pipeline stage, by stage name."),
     "repro_encode_parallel_jobs": (GAUGE, "Worker processes of the most recent staged encode (1 = serial)."),
-    # --- rectangle generation (core/rectangles.py + core/stages.py) ---
-    "repro_rectangles_seconds": (HISTOGRAM, "Wall time of rectangle generation + Theorem 2 pruning."),
+    # --- rectangle dedup (core/stages.py) ----------------------------
     "repro_encode_rectangles_total": (COUNTER, "Rectangles stored, by case label."),
     "repro_encode_rect_pruned_total": (COUNTER, "Candidate rectangles discarded by the Theorem 2 corner test."),
-    "repro_encode_segment_inserts_total": (COUNTER, "Rectangles inserted into the pruning structure during encoding (segment tree, or the staged dedup's kept set)."),
-    "repro_encode_segment_probes_total": (COUNTER, "Corner-coverage probes during encoding (one per candidate rectangle in the staged dedup)."),
-    # --- serialisation (core/encoder.py) ------------------------------
+    # --- serialisation (core/stages.py) -------------------------------
     "repro_encode_runs_total": (COUNTER, "Persistent images serialised."),
-    "repro_encode_seconds": (HISTOGRAM, "Wall time of persistent-image serialisation."),
     "repro_encode_bytes": (GAUGE, "Size of the most recently serialised persistent image."),
     # --- decoding (core/decoder.py) -----------------------------------
     "repro_decode_total": (COUNTER, "Persistent-image decode attempts, by result."),

@@ -4,7 +4,7 @@ Usage::
 
     from repro.obs import trace
 
-    with trace.span("encode.rectangles", rects=len(rects)):
+    with trace.span("persist.write", path=path):
         ...
 
 Spans nest through a thread-local stack, so one enabled run of the full

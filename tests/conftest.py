@@ -9,6 +9,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from repro.core.segment_tree import Rect
+from repro.core.stages import ENCODE_STAGES, BuildContext, run_stages
 from repro.matrix.points_to import PointsToMatrix
 
 # ----------------------------------------------------------------------
@@ -42,6 +44,25 @@ PAPER_ROWS = {
 @pytest.fixture
 def paper_matrix() -> PointsToMatrix:
     return PointsToMatrix.from_rows([PAPER_ROWS[i] for i in range(7)], 5)
+
+
+def stage_rectangles(matrix: PointsToMatrix, order: str = "hub", seed=None,
+                     explicit_order=None):
+    """Run the encoder up to its dedup stage; return ``(pestrie, kept, pruned)``.
+
+    Runs ``ENCODE_STAGES[:6]`` (normalize → … → dedup) and splits the
+    candidate rectangles, in emission order, into those Theorem 2 pruning
+    kept and those it dropped, each as ``(Rect, case1)``.  Together they
+    are the unpruned candidate set.
+    """
+    ctx = BuildContext(matrix, order=order, seed=seed, explicit_order=explicit_order)
+    run_stages(ctx, ENCODE_STAGES[:6])
+    x1, x2, y1, y2, _x_side, _y_side, case1 = ctx.artifacts["candidates"]
+    kept, pruned = [], []
+    for i, keep in enumerate(ctx.artifacts["kept"]):
+        rect = Rect(x1=x1[i], x2=x2[i], y1=y1[i], y2=y2[i])
+        (kept if keep else pruned).append((rect, bool(case1[i])))
+    return ctx.artifacts["pestrie"], kept, pruned
 
 
 def make_random_matrix(n_pointers: int, n_objects: int, density: float,

@@ -102,6 +102,23 @@ class TestEncodeAndInfo:
         assert main(["info", str(tmp_path / "nope.pes")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_program_without_allocation_sites(self, tmp_path, capsys):
+        pm = tmp_path / "empty.pm"
+        pm.write_text("4 0\n")
+        ir = tmp_path / "copy.ir"
+        ir.write_text("func main() {\n  p = q\n  return\n}\n")
+        for source in (pm, ir):
+            for version in ("1", "2", "3", "4"):
+                out = str(tmp_path / ("%s.v%s.pes" % (source.stem, version)))
+                assert main(["encode", str(source), out,
+                             "--format-version", version]) == 0
+                assert main(["verify", out]) == 0
+                capsys.readouterr()
+                assert main(["query", out, "list_points_to", "0"]) == 0
+                assert capsys.readouterr().out.strip() == ""
+                assert main(["query", out, "is_alias", "0", "1"]) == 0
+                assert capsys.readouterr().out.strip() == "false"
+
 
 class TestQuery:
     @pytest.fixture

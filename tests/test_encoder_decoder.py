@@ -16,25 +16,22 @@ from repro.core.encoder import (
     MAGIC_COMPACT,
     MAGIC_RAW,
     MAGIC_V3,
-    PestrieEncoder,
     _write_varint,
     object_timestamps,
     pointer_timestamps,
-    save_pestrie,
 )
 from repro.core.intervals import assign_intervals
-from repro.core.rectangles import generate_rectangles
+from repro.core.pipeline import persist
+from repro.core.stages import run_pipeline
 from repro.matrix.points_to import PointsToMatrix
 
-from conftest import matrices
+from conftest import matrices, stage_rectangles
 
 
 def _encode(matrix, order="identity", compact=False, version=3):
-    pestrie = build_pestrie(matrix, order=order)
-    assign_intervals(pestrie)
-    rect_set = generate_rectangles(pestrie)
-    encoder = PestrieEncoder(pestrie, rect_set.rects, compact=compact, version=version)
-    return pestrie, rect_set, encoder.to_bytes()
+    """The kept ``(Rect, case1)`` rectangles and the encoded bytes."""
+    _, kept, _ = stage_rectangles(matrix, order=order)
+    return kept, run_pipeline(matrix, order=order, compact=compact, version=version)
 
 
 class TestTimestampTables:
@@ -56,15 +53,15 @@ class TestTimestampTables:
 
 class TestByteLayout:
     def test_magic(self, paper_matrix):
-        _, _, raw = _encode(paper_matrix, version=1)
+        _, raw = _encode(paper_matrix, version=1)
         assert raw.startswith(MAGIC_RAW)
-        _, _, compact = _encode(paper_matrix, compact=True, version=2)
+        _, compact = _encode(paper_matrix, compact=True, version=2)
         assert compact.startswith(MAGIC_COMPACT)
-        _, _, v3 = _encode(paper_matrix, version=3)
+        _, v3 = _encode(paper_matrix, version=3)
         assert v3.startswith(MAGIC_V3)
 
     def test_header_counts(self, paper_matrix):
-        _, rect_set, raw = _encode(paper_matrix, version=1)
+        kept, raw = _encode(paper_matrix, version=1)
         header = struct.unpack_from("<11I", raw, 8)
         n_pointers, n_objects, n_groups = header[:3]
         assert (n_pointers, n_objects, n_groups) == (7, 5, 9)
@@ -76,8 +73,8 @@ class TestByteLayout:
 
     def test_deterministic_output(self, paper_matrix):
         for version in (1, 3):
-            _, _, first = _encode(paper_matrix, version=version)
-            _, _, second = _encode(paper_matrix, version=version)
+            _, first = _encode(paper_matrix, version=version)
+            _, second = _encode(paper_matrix, version=version)
             assert first == second
 
     def test_compact_smaller_than_raw(self):
@@ -86,18 +83,18 @@ class TestByteLayout:
         )
         for version in (None, 3):
             kwargs = {} if version is None else {"version": version}
-            _, _, raw = _encode(matrix, **kwargs)
-            _, _, compact = _encode(matrix, compact=True, **kwargs)
+            _, raw = _encode(matrix, **kwargs)
+            _, compact = _encode(matrix, compact=True, **kwargs)
             assert len(compact) < len(raw)
 
     def test_raw_size_formula(self, paper_matrix):
         """magic + 11 header ints + (7+5) timestamps + shape payloads."""
-        _, rect_set, raw = _encode(paper_matrix, version=1)
-        points = sum(1 for e in rect_set.rects
-                     if e.rect.x1 == e.rect.x2 and e.rect.y1 == e.rect.y2)
-        lines = sum(1 for e in rect_set.rects
-                    if (e.rect.x1 == e.rect.x2) != (e.rect.y1 == e.rect.y2))
-        full = len(rect_set.rects) - points - lines
+        kept, raw = _encode(paper_matrix, version=1)
+        points = sum(1 for rect, _ in kept
+                     if rect.x1 == rect.x2 and rect.y1 == rect.y2)
+        lines = sum(1 for rect, _ in kept
+                    if (rect.x1 == rect.x2) != (rect.y1 == rect.y2))
+        full = len(kept) - points - lines
         expected = 8 + 4 * (11 + 12 + 2 * points + 3 * lines + 4 * full)
         assert len(raw) == expected
 
@@ -105,7 +102,7 @@ class TestByteLayout:
 class TestV3Layout:
     def test_structure(self, paper_matrix):
         """magic, flags, header, 10 section lengths, payload, CRC trailer."""
-        _, _, data = _encode(paper_matrix, version=3)
+        _, data = _encode(paper_matrix, version=3)
         assert data[:8] == MAGIC_V3
         assert data[8] == 0  # raw coding, no flags
         header = struct.unpack_from("<11I", data, 9)
@@ -118,36 +115,33 @@ class TestV3Layout:
         assert lengths[1] == 4 * header[1]
 
     def test_compact_flag(self, paper_matrix):
-        _, _, data = _encode(paper_matrix, compact=True, version=3)
+        _, data = _encode(paper_matrix, compact=True, version=3)
         assert data[8] == FLAG_COMPACT
         assert detect_format(data) == (3, True)
 
     def test_crc_trailer(self, paper_matrix):
-        _, _, data = _encode(paper_matrix, version=3)
+        _, data = _encode(paper_matrix, version=3)
         stored = struct.unpack_from("<I", data, len(data) - 4)[0]
         assert stored == (zlib.crc32(data[:-4]) & 0xFFFFFFFF)
 
     def test_same_payload_as_legacy(self, paper_matrix):
         """All three versions decode to the identical payload."""
-        _, _, v1 = _encode(paper_matrix, version=1)
-        _, _, v2 = _encode(paper_matrix, compact=True, version=2)
-        _, _, v3 = _encode(paper_matrix, version=3)
-        _, _, v3c = _encode(paper_matrix, compact=True, version=3)
+        _, v1 = _encode(paper_matrix, version=1)
+        _, v2 = _encode(paper_matrix, compact=True, version=2)
+        _, v3 = _encode(paper_matrix, version=3)
+        _, v3c = _encode(paper_matrix, compact=True, version=3)
         reference = decode_bytes(v1)
         assert decode_bytes(v2) == reference
         assert decode_bytes(v3) == reference
         assert decode_bytes(v3c) == reference
 
     def test_bad_version_arguments(self, paper_matrix):
-        pestrie = build_pestrie(paper_matrix, order="identity")
-        assign_intervals(pestrie)
-        rects = generate_rectangles(pestrie).rects
         with pytest.raises(ValueError, match="version"):
-            PestrieEncoder(pestrie, rects, version=5)
+            run_pipeline(paper_matrix, version=5)
         with pytest.raises(ValueError, match="compact"):
-            PestrieEncoder(pestrie, rects, compact=True, version=1)
+            run_pipeline(paper_matrix, compact=True, version=1)
         with pytest.raises(ValueError, match="zero-copy"):
-            PestrieEncoder(pestrie, rects, compact=True, version=4)
+            run_pipeline(paper_matrix, compact=True, version=4)
 
 
 class TestVarintGuards:
@@ -169,7 +163,7 @@ class TestVarintGuards:
 
 class TestDecoding:
     def test_round_trip_payload(self, paper_matrix):
-        pestrie, rect_set, raw = _encode(paper_matrix)
+        kept, raw = _encode(paper_matrix)
         payload = decode_bytes(raw)
         assert payload.n_pointers == 7
         assert payload.n_objects == 5
@@ -177,24 +171,24 @@ class TestDecoding:
         assert payload.pointer_ts == [3, 0, 1, 2, 7, 4, 6]
         assert payload.object_ts == [0, 4, 5, 7, 8]
         decoded = sorted(rect.as_tuple() for rect, _ in payload.rects)
-        original = sorted(entry.rect.as_tuple() for entry in rect_set.rects)
+        original = sorted(rect.as_tuple() for rect, _ in kept)
         assert decoded == original
 
     def test_case_flags_survive(self, paper_matrix):
-        _, rect_set, raw = _encode(paper_matrix)
+        kept, raw = _encode(paper_matrix)
         payload = decode_bytes(raw)
         decoded_case1 = sorted(r.as_tuple() for r, case1 in payload.rects if case1)
-        original_case1 = sorted(e.rect.as_tuple() for e in rect_set.case1())
+        original_case1 = sorted(rect.as_tuple() for rect, case1 in kept if case1)
         assert decoded_case1 == original_case1
 
     @settings(max_examples=50)
     @given(matrices(), st.booleans())
     def test_round_trip_any_matrix(self, matrix, compact):
-        _, rect_set, data = _encode(matrix, order="hub", compact=compact)
+        kept, data = _encode(matrix, order="hub", compact=compact)
         payload = decode_bytes(data)
         assert payload.n_pointers == matrix.n_pointers
         decoded = sorted(rect.as_tuple() for rect, _ in payload.rects)
-        assert decoded == sorted(e.rect.as_tuple() for e in rect_set.rects)
+        assert decoded == sorted(rect.as_tuple() for rect, _ in kept)
 
     def test_bad_magic_rejected(self):
         # CorruptFileError so callers can catch one exception type for any
@@ -208,28 +202,25 @@ class TestDecoding:
                 decode_bytes(blob)
 
     def test_file_round_trip(self, paper_matrix, tmp_path):
-        pestrie, rect_set, _ = _encode(paper_matrix)
         path = str(tmp_path / "example.pes")
-        size = save_pestrie(pestrie, rect_set.rects, path)
+        size = persist(paper_matrix, path, order="identity")
         assert size == (tmp_path / "example.pes").stat().st_size
         payload = load_payload(path)
         assert payload.n_groups == 9
 
     def test_save_is_atomic_and_leaves_no_staging_files(self, paper_matrix, tmp_path):
-        pestrie, rect_set, _ = _encode(paper_matrix)
         target = tmp_path / "example.pes"
         # Replace an existing (corrupt) file in place: readers must only
         # ever observe the old content or the complete new file.
         target.write_bytes(b"garbage from a torn write")
-        save_pestrie(pestrie, rect_set.rects, str(target))
+        persist(paper_matrix, str(target), order="identity")
         assert decode_bytes(target.read_bytes()).n_groups == 9
         assert sorted(p.name for p in tmp_path.iterdir()) == ["example.pes"]
 
     def test_save_legacy_versions(self, paper_matrix, tmp_path):
-        pestrie, rect_set, _ = _encode(paper_matrix)
         for version, magic in ((1, MAGIC_RAW), (2, MAGIC_COMPACT), (3, MAGIC_V3)):
             path = tmp_path / ("v%d.pes" % version)
-            save_pestrie(pestrie, rect_set.rects, str(path), version=version)
+            persist(paper_matrix, str(path), order="identity", version=version)
             assert path.read_bytes()[:8] == magic
             assert load_payload(str(path)).n_groups == 9
 
@@ -237,10 +228,10 @@ class TestDecoding:
         """Timestamps above 127 exercise multi-byte varints: distinct rows
         keep every pointer in its own group."""
         matrix = PointsToMatrix.from_pairs(200, 200, [(p, p) for p in range(200)])
-        _, _, data = _encode(matrix, compact=True)
+        _, data = _encode(matrix, compact=True)
         payload = decode_bytes(data)
         assert payload.n_pointers == 200
         assert max(ts for ts in payload.pointer_ts if ts is not None) >= 128
         # And the raw format agrees on the decoded content.
-        _, _, raw = _encode(matrix, compact=False)
+        _, raw = _encode(matrix, compact=False)
         assert decode_bytes(raw).pointer_ts == payload.pointer_ts

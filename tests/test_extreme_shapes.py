@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import stage_rectangles
 from repro.core.builder import build_pestrie
 from repro.core.pipeline import encode, index_from_bytes
 from repro.matrix.points_to import PointsToMatrix
@@ -62,12 +63,8 @@ class TestStarMatrix:
         assert len(pestrie.cross_edges) == 0
 
     def test_no_rectangles_needed(self, matrix):
-        from repro.core.intervals import assign_intervals
-        from repro.core.rectangles import generate_rectangles
-
-        pestrie = build_pestrie(matrix, order="hub")
-        assign_intervals(pestrie)
-        assert generate_rectangles(pestrie).rects == []
+        _, kept, pruned = stage_rectangles(matrix, order="hub")
+        assert kept == [] and pruned == []
 
     def test_all_alias_via_pes(self, matrix):
         index = _round_trip(matrix)

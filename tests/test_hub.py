@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import hub
+from repro.core.builder import resolve_order
 from repro.matrix.points_to import PointsToMatrix
 
 from conftest import matrices
@@ -28,12 +29,12 @@ class TestHubDegree:
         # H = sqrt over pointed-by pointers of |PM[p]|²:
         # o1=√37, o2=√33, o3=√36, o4=√17, o5=√24.  (The paper narrates the
         # example in id order o1..o5 for exposition; Definition 1 actually
-        # ranks o3 above o2.)
+        # ranks o3 above o2.)  The encoder's order stage must agree.
         degrees = hub.hub_degrees(paper_matrix)
         assert degrees == pytest.approx(
             [math.sqrt(37), math.sqrt(33), math.sqrt(36), math.sqrt(17), math.sqrt(24)]
         )
-        assert hub.hub_order(paper_matrix) == [0, 2, 1, 4, 3]
+        assert resolve_order(paper_matrix, "hub") == [0, 2, 1, 4, 3]
         assert degrees[0] == max(degrees)
 
     def test_distinguishes_same_pointed_by_count(self):
@@ -62,7 +63,7 @@ class TestOrders:
         assert hub.identity_order(paper_matrix) == [0, 1, 2, 3, 4]
 
     def test_simple_degree_order_ties_by_id(self, paper_matrix):
-        assert hub.simple_degree_order(paper_matrix) == [0, 1, 2, 4, 3]
+        assert resolve_order(paper_matrix, "simple") == [0, 1, 2, 4, 3]
 
     def test_validate_order_accepts_permutation(self):
         assert hub.validate_order((2, 0, 1), 3) == [2, 0, 1]
@@ -106,7 +107,7 @@ class TestPartitionObjective:
     @settings(max_examples=30)
     @given(matrices(max_pointers=10, max_objects=5))
     def test_objective_counts_each_pointer_once(self, matrix):
-        order = hub.hub_order(matrix)
+        order = resolve_order(matrix, "hub")
         objective = hub.partition_objective(matrix, order)
         nonempty = sum(1 for row in matrix.rows if row)
         # Σ I_i = n implies O_π ≤ n² and ≥ n²/m (Cauchy-Schwarz bounds).

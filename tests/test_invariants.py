@@ -10,7 +10,9 @@
   no alias pair.
 
 Both are exercised across all ``ORDER_CHOICES`` because the theorems must
-hold for *any* construction order, not just the hub default.
+hold for *any* construction order, not just the hub default.  The trie
+and the candidate/kept rectangle sets are read from the encoder's own
+stages, so these oracles check the code that writes every file.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_matrix, matrices
+from conftest import make_random_matrix, matrices, stage_rectangles
 from repro.core import ORDER_CHOICES
-from repro.core.pipeline import build_labeled_pestrie
+from repro.core.builder import build_pestrie
 from repro.core.reachability import verify_theorem_1
-from repro.core.rectangles import generate_rectangles
 from repro.core.segment_tree import Rect
 
 
@@ -39,14 +40,14 @@ class TestTheorem1:
     @settings(max_examples=60)
     @given(matrices(), st.sampled_from(ORDER_CHOICES))
     def test_xi_reachability_reproduces_matrix(self, matrix, order):
-        pestrie = build_labeled_pestrie(matrix, order=order, seed=0)
+        pestrie = build_pestrie(matrix, order=order, seed=0)
         assert verify_theorem_1(pestrie, matrix)
 
     def test_across_random_seeds(self):
         """The random order must satisfy Theorem 1 for any permutation."""
         matrix = make_random_matrix(20, 8, density=0.25, seed=0)
         for seed in range(10):
-            pestrie = build_labeled_pestrie(matrix, order="random", seed=seed)
+            pestrie = build_pestrie(matrix, order="random", seed=seed)
             assert verify_theorem_1(pestrie, matrix)
 
 
@@ -54,8 +55,8 @@ class TestTheorem2:
     @settings(max_examples=60)
     @given(matrices(), st.sampled_from(ORDER_CHOICES))
     def test_candidates_nest_or_are_disjoint(self, matrix, order):
-        pestrie = build_labeled_pestrie(matrix, order=order, seed=1)
-        candidates = [entry.rect for entry in generate_rectangles(pestrie, prune=False).rects]
+        _, kept, pruned = stage_rectangles(matrix, order=order, seed=1)
+        candidates = [rect for rect, _ in kept + pruned]
         for i, a in enumerate(candidates):
             for b in candidates[i + 1:]:
                 assert (_disjoint(a, b) or _encloses(a, b) or _encloses(b, a)), (
@@ -66,10 +67,9 @@ class TestTheorem2:
     @given(matrices(), st.sampled_from(ORDER_CHOICES))
     def test_pruned_candidates_are_enclosed(self, matrix, order):
         """A corner hit implies full enclosure — pruning never loses a pair."""
-        pestrie = build_labeled_pestrie(matrix, order=order, seed=2)
-        result = generate_rectangles(pestrie, prune=True)
-        stored = [entry.rect for entry in result.rects]
-        for candidate in result.pruned:
+        _, kept, pruned = stage_rectangles(matrix, order=order, seed=2)
+        stored = [rect for rect, _ in kept]
+        for candidate, _ in pruned:
             assert any(_encloses(rect, candidate) for rect in stored), (
                 "pruned %r is not enclosed by any stored rectangle"
                 % (candidate.as_tuple(),)
@@ -79,9 +79,7 @@ class TestTheorem2:
     @given(matrices(), st.sampled_from(ORDER_CHOICES))
     def test_pruning_is_lossless(self, matrix, order):
         """Pruned and unpruned sets cover exactly the same timestamp pairs."""
-        pestrie = build_labeled_pestrie(matrix, order=order, seed=3)
-        full = generate_rectangles(pestrie, prune=False)
-        pruned = generate_rectangles(pestrie, prune=True)
+        _, kept, pruned = stage_rectangles(matrix, order=order, seed=3)
 
         def covered_points(rects):
             points = set()
@@ -91,14 +89,13 @@ class TestTheorem2:
                         points.add((x, y))
             return points
 
-        assert covered_points(r.rect for r in pruned.rects) == \
-            covered_points(r.rect for r in full.rects)
+        assert covered_points(rect for rect, _ in kept) == \
+            covered_points(rect for rect, _ in kept + pruned)
 
     def test_case1_never_pruned(self):
         """Case-1 rectangles survive pruning (ListPointsTo completeness)."""
         matrix = make_random_matrix(16, 7, density=0.3, seed=4)
         for order in ORDER_CHOICES:
-            pestrie = build_labeled_pestrie(matrix, order=order, seed=5)
-            full = generate_rectangles(pestrie, prune=False)
-            pruned = generate_rectangles(pestrie, prune=True)
-            assert len(pruned.case1()) == len(full.case1())
+            pestrie, kept, pruned = stage_rectangles(matrix, order=order, seed=5)
+            assert not any(case1 for _, case1 in pruned)
+            assert sum(1 for _, case1 in kept if case1) == len(pestrie.cross_edges)

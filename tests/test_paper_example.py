@@ -1,10 +1,9 @@
 """End-to-end reproduction of the paper's worked example (Tables 3-6,
 Figures 2 and 4): one test per published artefact, full pipeline."""
 
+from conftest import stage_rectangles
 from repro.core.builder import build_pestrie
-from repro.core.intervals import assign_intervals
 from repro.core.pipeline import encode, index_from_bytes
-from repro.core.rectangles import generate_rectangles
 
 P1, P2, P3, P4, P5, P6, P7 = range(7)
 O1, O2, O3, O4, O5 = range(5)
@@ -33,8 +32,7 @@ def test_figure_2_structure(paper_matrix):
 
 
 def test_table_5_interval_labels(paper_matrix):
-    pestrie = build_pestrie(paper_matrix, order="identity")
-    assign_intervals(pestrie)
+    pestrie, _, _ = stage_rectangles(paper_matrix, order="identity")
     labels = {}
     for group in pestrie.groups:
         labels[pestrie.pre_order[group.id]] = pestrie.max_pre_order[group.id]
@@ -42,10 +40,8 @@ def test_table_5_interval_labels(paper_matrix):
 
 
 def test_table_6_and_figure_4_rectangles(paper_matrix):
-    pestrie = build_pestrie(paper_matrix, order="identity")
-    assign_intervals(pestrie)
-    rect_set = generate_rectangles(pestrie)
-    assert sorted(e.rect.as_tuple() for e in rect_set.rects) == [
+    _, kept, pruned = stage_rectangles(paper_matrix, order="identity")
+    assert sorted(rect.as_tuple() for rect, _ in kept) == [
         (1, 1, 8, 8),
         (1, 2, 4, 4),
         (1, 2, 5, 6),
@@ -54,19 +50,16 @@ def test_table_6_and_figure_4_rectangles(paper_matrix):
         (3, 3, 8, 8),
         (6, 6, 8, 8),
     ]
-    assert [r.as_tuple() for r in rect_set.pruned] == [(1, 1, 6, 6)]
+    assert [rect.as_tuple() for rect, _ in pruned] == [(1, 1, 6, 6)]
 
 
 def test_figure_5_file_size(paper_matrix):
     """'Five of the seven rectangles are points and one of them is a line,
     which requires only thirteen integers to be stored' — 5×2 + 1×3 = 13
     integers for the degenerate shapes (the one full rectangle adds 4)."""
-    pestrie = build_pestrie(paper_matrix, order="identity")
-    assign_intervals(pestrie)
-    rect_set = generate_rectangles(pestrie)
+    _, kept, _ = stage_rectangles(paper_matrix, order="identity")
     points = lines = full = 0
-    for entry in rect_set.rects:
-        rect = entry.rect
+    for rect, _ in kept:
         if rect.x1 == rect.x2 and rect.y1 == rect.y2:
             points += 1
         elif rect.x1 == rect.x2 or rect.y1 == rect.y2:

@@ -108,10 +108,8 @@ class TestPesRecovery:
     @given(matrices())
     def test_pes_identifiers_any_matrix(self, matrix):
         from repro.core.builder import build_pestrie
-        from repro.core.intervals import assign_intervals
 
         pestrie = build_pestrie(matrix, order="hub")
-        assign_intervals(pestrie)
         index = _index(matrix, order="hub")
         for pointer in range(matrix.n_pointers):
             assert index.pes_of(pointer) == pestrie.pes_of_pointer(pointer)

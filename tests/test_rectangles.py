@@ -1,27 +1,16 @@
-"""Rectangle generation and Theorem 2 pruning (Section 3.4.1, Figure 4)."""
+"""Rectangle generation and Theorem 2 pruning (Section 3.4.1, Figure 4),
+read from the encoder's rectangles and dedup stages."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import build_pestrie
-from repro.core.intervals import assign_intervals
-from repro.core.rectangles import generate_rectangles
-
-from conftest import matrices
-
-
-def _pipeline(matrix, order="identity", seed=0, prune=True):
-    pestrie = build_pestrie(matrix, order=order, seed=seed)
-    assign_intervals(pestrie)
-    return pestrie, generate_rectangles(pestrie, prune=prune)
+from conftest import matrices, stage_rectangles
 
 
 class TestFigure4:
     def test_exact_rectangles(self, paper_matrix):
-        _, rect_set = _pipeline(paper_matrix)
-        kept = sorted(entry.rect.as_tuple() for entry in rect_set.rects)
-        assert kept == [
+        _, kept, _ = stage_rectangles(paper_matrix, order="identity")
+        assert sorted(rect.as_tuple() for rect, _ in kept) == [
             (1, 1, 8, 8),
             (1, 2, 4, 4),
             (1, 2, 5, 6),
@@ -33,12 +22,12 @@ class TestFigure4:
 
     def test_pruned_rectangle(self, paper_matrix):
         """<1,1,6,6> ({p3} × {p7} via o5) is inside <1,2,5,6> and dropped."""
-        _, rect_set = _pipeline(paper_matrix)
-        assert [r.as_tuple() for r in rect_set.pruned] == [(1, 1, 6, 6)]
+        _, _, pruned = stage_rectangles(paper_matrix, order="identity")
+        assert [rect.as_tuple() for rect, _ in pruned] == [(1, 1, 6, 6)]
 
     def test_case1_classification(self, paper_matrix):
-        _, rect_set = _pipeline(paper_matrix)
-        case1 = sorted(entry.rect.as_tuple() for entry in rect_set.case1())
+        _, kept, _ = stage_rectangles(paper_matrix, order="identity")
+        case1 = sorted(rect.as_tuple() for rect, is_case1 in kept if is_case1)
         # Every origin's cross subtrees pair with its PES block: o2, o3,
         # o4, and o5's three.
         assert case1 == [
@@ -49,31 +38,22 @@ class TestFigure4:
             (3, 3, 8, 8),
             (6, 6, 8, 8),
         ]
-        case2 = sorted(entry.rect.as_tuple() for entry in rect_set.case2())
+        case2 = sorted(rect.as_tuple() for rect, is_case1 in kept if not is_case1)
         assert case2 == [(3, 3, 6, 6)]
-
-    def test_case1_object_ids(self, paper_matrix):
-        _, rect_set = _pipeline(paper_matrix)
-        for entry in rect_set.case1():
-            assert entry.object_id >= 0
-        by_tuple = {e.rect.as_tuple(): e.object_id for e in rect_set.case1()}
-        assert by_tuple[(1, 2, 5, 6)] == 2  # {p3,p4} point to o3
-        assert by_tuple[(1, 1, 8, 8)] == 4  # {p3} points to o5
 
     def test_same_pes_pair_not_encoded(self, paper_matrix):
         """{p3} × {p1} of origin o5 is an internal pair: no rectangle."""
-        _, rect_set = _pipeline(paper_matrix)
-        tuples = {entry.rect.as_tuple() for entry in rect_set.rects}
-        assert (1, 1, 3, 3) not in tuples
-        assert not any(r.as_tuple() == (1, 1, 3, 3) for r in rect_set.pruned)
+        _, kept, pruned = stage_rectangles(paper_matrix, order="identity")
+        assert (1, 1, 3, 3) not in {rect.as_tuple() for rect, _ in kept}
+        assert (1, 1, 3, 3) not in {rect.as_tuple() for rect, _ in pruned}
 
 
 class TestTheorem2:
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.sampled_from(["hub", "identity", "random"]))
     def test_kept_rectangles_pairwise_disjoint(self, matrix, order):
-        _, rect_set = _pipeline(matrix, order=order, seed=3)
-        rects = [entry.rect for entry in rect_set.rects]
+        _, kept, _ = stage_rectangles(matrix, order=order, seed=3)
+        rects = [rect for rect, _ in kept]
         for i in range(len(rects)):
             for j in range(i + 1, len(rects)):
                 a, b = rects[i], rects[j]
@@ -84,29 +64,29 @@ class TestTheorem2:
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.sampled_from(["hub", "identity", "random"]))
     def test_pruned_rectangles_fully_enclosed(self, matrix, order):
-        _, rect_set = _pipeline(matrix, order=order, seed=3)
-        for pruned in rect_set.pruned:
-            assert any(entry.rect.encloses(pruned) for entry in rect_set.rects), pruned
+        _, kept, pruned = stage_rectangles(matrix, order=order, seed=3)
+        for candidate, _ in pruned:
+            assert any(rect.encloses(candidate) for rect, _ in kept), candidate
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.sampled_from(["hub", "identity", "random"]))
     def test_case1_never_pruned(self, matrix, order):
-        """ListPointsTo completeness rests on this (see rectangles.py)."""
-        pestrie, rect_set = _pipeline(matrix, order=order, seed=3)
+        """ListPointsTo completeness rests on this (see the dedup stage)."""
+        pestrie, kept, _ = stage_rectangles(matrix, order=order, seed=3)
         # Count expected Case-1 rectangles: one per cross edge.
-        assert len(rect_set.case1()) == len(pestrie.cross_edges)
+        assert sum(1 for _, case1 in kept if case1) == len(pestrie.cross_edges)
 
     @settings(max_examples=40, deadline=None)
     @given(matrices())
     def test_pruning_only_removes_redundancy(self, matrix):
         """Pruned and unpruned rectangle sets cover the same point set."""
-        _, with_pruning = _pipeline(matrix, prune=True)
-        _, without = _pipeline(matrix, prune=False)
+        _, kept, pruned = stage_rectangles(matrix, order="identity")
+        with_pruning = [rect for rect, _ in kept]
+        without = with_pruning + [rect for rect, _ in pruned]
 
-        def covered(rect_set):
+        def covered(rects):
             points = set()
-            for entry in rect_set.rects:
-                rect = entry.rect
+            for rect in rects:
                 for x in range(rect.x1, rect.x2 + 1):
                     for y in range(rect.y1, rect.y2 + 1):
                         points.add((x, y))
@@ -120,8 +100,8 @@ class TestRectangleSemantics:
     @given(matrices(), st.sampled_from(["hub", "identity", "random"]))
     def test_rectangles_encode_exactly_the_cross_pairs(self, matrix, order):
         """(ts_p, ts_q) is covered ⟺ p, q alias across different PESs."""
-        pestrie, rect_set = _pipeline(matrix, order=order, seed=9)
-        rects = [entry.rect for entry in rect_set.rects]
+        pestrie, kept, _ = stage_rectangles(matrix, order=order, seed=9)
+        rects = [rect for rect, _ in kept]
 
         def covered(x, y):
             if x > y:
@@ -143,8 +123,3 @@ class TestRectangleSemantics:
                 if same_pes:
                     continue  # internal pairs are not rectangle-encoded
                 assert covered(ts_p, ts_q) == is_alias, (p, q)
-
-    def test_requires_interval_labels(self, paper_matrix):
-        pestrie = build_pestrie(paper_matrix, order="identity")
-        with pytest.raises(ValueError, match="interval labels"):
-            generate_rectangles(pestrie)

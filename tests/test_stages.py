@@ -1,41 +1,46 @@
-"""Staged pipeline: contracts, executors, and parallel/serial parity.
+"""Staged pipeline: contracts, executors, and pinned output bytes.
 
-The load-bearing property is byte-identity: the staged pipeline must
-reproduce the legacy ``build → rectangles → PestrieEncoder`` bytes for
-every version/coding/order, and a multi-process run must reproduce the
-serial bytes exactly — chunked fan-out with deterministic merges, never
-"close enough".
+The load-bearing property is byte-identity: the pipeline must reproduce
+the SHA-256 digests pinned in ``fixtures/encode_sha256.json`` for every
+version/coding/order, serially and over a process pool, and a
+multi-process run must reproduce the serial bytes exactly — chunked
+fan-out with deterministic merges, never "close enough".
 """
 
+import hashlib
+import json
+import os
 import random
 
 import pytest
 
 from repro.bench.synthetic import SyntheticSpec, synthesize
 from repro.core import pipeline
-from repro.core.builder import ORDER_CHOICES, build_pestrie
-from repro.core.encoder import PestrieEncoder
-from repro.core.intervals import assign_intervals
-from repro.core.rectangles import generate_rectangles
+from repro.core.builder import ORDER_CHOICES
 from repro.core.stages import (
     ENCODE_STAGES,
+    BuildContext,
     BuildReport,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
     run_pipeline,
+    run_stages,
 )
 from repro.matrix.points_to import PointsToMatrix
 
 VERSIONS = ((1, False), (2, False), (3, False), (3, True), (4, False))
 
+with open(os.path.join(os.path.dirname(__file__), "fixtures", "encode_sha256.json")) as _fh:
+    DIGESTS = json.load(_fh)["digests"]
 
-def legacy_encode(matrix, *, order="hub", seed=None, compact=False, version=3):
-    pestrie = build_pestrie(matrix, order=order, seed=seed)
-    assign_intervals(pestrie)
-    rects = generate_rectangles(pestrie)
-    return PestrieEncoder(pestrie, rects.rects, compact=compact,
-                          version=version).to_bytes()
+
+def version_key(version, compact):
+    return "v%d%s" % (version, "c" if compact else "")
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def random_matrix(seed, n_pointers=14, n_objects=9):
@@ -66,37 +71,55 @@ def pool4():
 
 
 # ----------------------------------------------------------------------
-# Staged output == legacy output
+# Pipeline output == pinned digests
 # ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["serial", "jobs2"])
+def executor(request, pool2):
+    return SerialExecutor() if request.param == "serial" else pool2
 
 
 @pytest.mark.parametrize("order", ORDER_CHOICES)
 @pytest.mark.parametrize("version,compact", VERSIONS)
-def test_staged_matches_legacy(synthetic, order, version, compact):
-    expected = legacy_encode(synthetic, order=order, seed=5, compact=compact,
-                             version=version)
-    assert run_pipeline(synthetic, order=order, seed=5, compact=compact,
-                        version=version) == expected
+def test_synthetic_matches_pinned_digest(synthetic, executor, order, version, compact):
+    data = run_pipeline(synthetic, order=order, seed=5, compact=compact,
+                        version=version, executor=executor)
+    assert digest(data) == DIGESTS["synthetic/%s/%s" % (order, version_key(version, compact))]
 
 
-def test_staged_matches_legacy_random_matrices():
+def test_random_matrices_match_pinned_digests(executor):
     for seed in range(20):
         matrix = random_matrix(seed)
         for order in ORDER_CHOICES:
-            expected = legacy_encode(matrix, order=order, seed=seed, version=3,
-                                     compact=bool(seed % 2))
-            assert run_pipeline(matrix, order=order, seed=seed, version=3,
-                                compact=bool(seed % 2)) == expected, (seed, order)
+            data = run_pipeline(matrix, order=order, seed=seed, version=3,
+                                compact=bool(seed % 2), executor=executor)
+            assert digest(data) == DIGESTS["random/%d/%s" % (seed, order)], (seed, order)
 
 
-def test_staged_explicit_order(synthetic):
+def test_explicit_order_matches_pinned_digest(synthetic, executor):
     perm = list(range(synthetic.n_objects))
     random.Random(3).shuffle(perm)
-    pestrie = build_pestrie(synthetic, explicit_order=perm)
-    assign_intervals(pestrie)
-    rects = generate_rectangles(pestrie)
-    expected = PestrieEncoder(pestrie, rects.rects).to_bytes()
-    assert run_pipeline(synthetic, explicit_order=perm) == expected
+    data = run_pipeline(synthetic, explicit_order=perm, executor=executor)
+    assert digest(data) == DIGESTS["synthetic/explicit/v3"]
+
+
+@pytest.mark.parametrize("version,compact", VERSIONS)
+def test_paper_matrix_matches_pinned_digest(paper_matrix, executor, version, compact):
+    data = run_pipeline(paper_matrix, order="identity", compact=compact,
+                        version=version, executor=executor)
+    assert digest(data) == DIGESTS["paper/identity/%s" % version_key(version, compact)]
+
+
+def test_every_pinned_digest_is_checked():
+    expected = {"synthetic/%s/%s" % (order, version_key(version, compact))
+                for order in ORDER_CHOICES for version, compact in VERSIONS}
+    expected |= {"random/%d/%s" % (seed, order)
+                 for seed in range(20) for order in ORDER_CHOICES}
+    expected |= {"paper/identity/%s" % version_key(version, compact)
+                 for version, compact in VERSIONS}
+    expected.add("synthetic/explicit/v3")
+    assert set(DIGESTS) == expected
 
 
 def test_pipeline_facade_routes_through_stages(synthetic):
@@ -104,10 +127,33 @@ def test_pipeline_facade_routes_through_stages(synthetic):
     assert pipeline.encode(synthetic, jobs=1) == run_pipeline(synthetic)
 
 
-def test_empty_object_universe_matches_legacy_error():
+@pytest.mark.parametrize("version,compact", VERSIONS)
+def test_empty_object_universe_round_trips(version, compact):
+    """No allocation sites: zero groups, every pointer untracked."""
     matrix = PointsToMatrix(4, 0)
-    with pytest.raises(ValueError, match="interval labels missing"):
-        run_pipeline(matrix)
+    data = run_pipeline(matrix, compact=compact, version=version)
+    for lazy in (False, True):
+        index = pipeline.index_from_bytes(data, lazy=lazy)
+        assert index.n_pointers == 4
+        assert not index.is_alias(0, 1)
+        assert not index.is_alias(2, 2)
+        assert list(index.list_points_to(3)) == []
+        assert list(index.list_aliases(0)) == []
+        assert index.materialize() == matrix
+
+
+def test_stage_slices_compose(synthetic):
+    """A prefix plus the remaining suffix is the full pipeline."""
+    ctx = BuildContext(synthetic)
+    run_stages(ctx, ENCODE_STAGES[:6])
+    assert "payload" not in ctx.artifacts
+    run_stages(ctx, ENCODE_STAGES[6:])
+    assert ctx.artifacts["payload"] == run_pipeline(synthetic)
+
+
+def test_stage_slice_checks_inputs(synthetic):
+    with pytest.raises(KeyError, match="candidates"):
+        run_stages(BuildContext(synthetic), ENCODE_STAGES[5:])
 
 
 # ----------------------------------------------------------------------
