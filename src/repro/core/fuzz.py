@@ -21,8 +21,10 @@ decoder on every Table 1 query — corruption must surface as
 
 Delta-bearing images (a ``PESTRIE3`` base followed by appended DELTA
 records, see :mod:`repro.delta`) are fuzzed too.  Their clean contract:
-the overlay decode reproduces the edited matrix, and every record
-re-encodes byte-exactly.  Their corruption contract: a mutated image
+the overlay decode reproduces the edited matrix, answers a seeded sample
+of ``is_alias_batch`` and list queries (at every epoch of a stamped
+chain) as the edited matrix does, and every record re-encodes
+byte-exactly.  Their corruption contract: a mutated image
 either raises :class:`~repro.core.decoder.CorruptFileError` or decodes to
 the result of applying a *prefix* of the record chain — the one legal
 survival, since truncating exactly at a record boundary is
@@ -95,6 +97,7 @@ class FuzzReport:
     delta_round_trips: int = 0
     versioned_round_trips: int = 0
     as_of_checks: int = 0
+    query_checks: int = 0
     corruptions: int = 0
     rejected: int = 0
     survived: int = 0
@@ -110,12 +113,12 @@ class FuzzReport:
     def summary(self) -> str:
         return (
             "%d cases: %d clean round-trips (+%d delta-chain, %d versioned), "
-            "%d as_of checks, "
+            "%d as_of checks, %d query-path checks, "
             "%d corruptions (%d rejected, %d survived validation), "
             "%d lazy-parity checks, %d flat-parity checks, "
             "%d parallel-parity checks, %d failures"
             % (self.cases, self.clean_round_trips, self.delta_round_trips,
-               self.versioned_round_trips, self.as_of_checks,
+               self.versioned_round_trips, self.as_of_checks, self.query_checks,
                self.corruptions, self.rejected, self.survived,
                self.lazy_checks, self.flat_checks, self.parallel_checks,
                len(self.failures))
@@ -408,13 +411,45 @@ def _delta_chain(rng: random.Random, matrix: PointsToMatrix, data: bytes):
     return image, prefixes
 
 
+#: Pointers and objects sampled per query-path check.
+_QUERY_SAMPLE = 6
+
+
+def _query_mismatch(index, matrix: PointsToMatrix, rng: random.Random,
+                    report: FuzzReport) -> Optional[str]:
+    """The first sampled query ``index`` answers differently from ``matrix``.
+
+    Checks ``is_alias_batch`` over every pair of a seeded pointer sample
+    and the three list queries (as sets) on the sample and on a seeded
+    object sample; ``None`` when all agree.
+    """
+    report.query_checks += 1
+    pointers = rng.sample(range(matrix.n_pointers),
+                          min(_QUERY_SAMPLE, matrix.n_pointers))
+    objects = rng.sample(range(matrix.n_objects),
+                         min(_QUERY_SAMPLE, matrix.n_objects))
+    pairs = [(p, q) for p in pointers for q in pointers]
+    if index.is_alias_batch(pairs) != [matrix.is_alias(p, q) for p, q in pairs]:
+        return "is_alias_batch over pointers %r" % (pointers,)
+    for p in pointers:
+        if set(index.list_points_to(p)) != set(matrix.list_points_to(p)):
+            return "list_points_to(%d)" % p
+        if set(index.list_aliases(p)) != set(matrix.list_aliases(p)):
+            return "list_aliases(%d)" % p
+    for obj in objects:
+        if set(index.list_pointed_by(obj)) != set(matrix.list_pointed_by(obj)):
+            return "list_pointed_by(%d)" % obj
+    return None
+
+
 def _check_delta_clean(case: int, version: int, image: bytes, final: PointsToMatrix,
-                       report: FuzzReport) -> None:
+                       rng: random.Random, report: FuzzReport) -> None:
     from ..delta import decode_records, encode_record, overlay_from_bytes, split_image
 
     try:
         overlay = overlay_from_bytes(image)
         recovered = overlay.materialize()
+        mismatch = _query_mismatch(overlay, final, rng, report)
     except Exception as error:  # noqa: BLE001 — any exception here is a bug
         report.failures.append(FuzzFailure(case, version, None,
                                            "clean delta image failed to decode: %r" % (error,)))
@@ -422,6 +457,10 @@ def _check_delta_clean(case: int, version: int, image: bytes, final: PointsToMat
     if recovered != final:
         report.failures.append(FuzzFailure(case, version, None,
                                            "overlay matrix differs from the edited input"))
+        return
+    if mismatch is not None:
+        report.failures.append(FuzzFailure(case, version, None,
+                                           "overlay answers %s wrongly" % mismatch))
         return
     base, tail = split_image(image)
     records = decode_records(image, len(base), overlay.n_pointers, overlay.n_objects)
@@ -522,7 +561,7 @@ def _stamped_chain(rng: random.Random, matrix: PointsToMatrix, data: bytes):
 
 def _check_versioned_clean(case: int, version: int, image: bytes,
                            prefixes: Sequence[PointsToMatrix],
-                           report: FuzzReport) -> None:
+                           rng: random.Random, report: FuzzReport) -> None:
     """Every epoch of a clean stamped chain must replay to its exact prefix."""
     from ..delta import versions_from_bytes
 
@@ -535,9 +574,15 @@ def _check_versioned_clean(case: int, version: int, image: bytes,
             return
         for epoch, prefix in enumerate(prefixes):
             report.as_of_checks += 1
-            if versioned.as_of(epoch).materialize() != prefix:
+            overlay = versioned.as_of(epoch)
+            if overlay.materialize() != prefix:
                 report.failures.append(FuzzFailure(case, version, None,
                     "as_of(%d) differs from the epoch-%d prefix" % (epoch, epoch)))
+                return
+            mismatch = _query_mismatch(overlay, prefix, rng, report)
+            if mismatch is not None:
+                report.failures.append(FuzzFailure(case, version, None,
+                    "as_of(%d) answers %s wrongly" % (epoch, mismatch)))
                 return
     except Exception as error:  # noqa: BLE001 — any exception here is a bug
         report.failures.append(FuzzFailure(case, version, None,
@@ -669,6 +714,9 @@ def run_fuzz(iterations: int = 500, seed: int = 0, mutants_per_case: int = 3,
     parallel_executor = None
     for case in range(iterations):
         rng = random.Random("pestrie-fuzz-%d-%d" % (seed, case))
+        # Query-path samples draw from their own stream, so the mutants a
+        # seed explores do not depend on how many queries were sampled.
+        query_rng = random.Random("pestrie-fuzz-queries-%d-%d" % (seed, case))
         matrix = random_matrix(rng)
         version = rng.choice(pool)
         compact = version == 2 or (version == 3 and rng.random() < 0.5)
@@ -708,7 +756,7 @@ def run_fuzz(iterations: int = 500, seed: int = 0, mutants_per_case: int = 3,
         # Half the PESTRIE3/4 cases also fuzz an append→decode round-trip.
         if version >= 3 and rng.random() < 0.5:
             image, prefixes = _delta_chain(rng, matrix, data)
-            _check_delta_clean(case, version, image, prefixes[-1], report)
+            _check_delta_clean(case, version, image, prefixes[-1], query_rng, report)
             for _ in range(mutants_per_case):
                 kind, mutated = corrupt(rng, image, delta_offset=len(data))
                 if mutated == image:
@@ -721,7 +769,7 @@ def run_fuzz(iterations: int = 500, seed: int = 0, mutants_per_case: int = 3,
                           else rng.random() < 0.5)
         if version >= 3 and want_versioned:
             image, prefixes, spans = _stamped_chain(rng, matrix, data)
-            _check_versioned_clean(case, version, image, prefixes, report)
+            _check_versioned_clean(case, version, image, prefixes, query_rng, report)
             for _ in range(mutants_per_case):
                 kind, mutated = corrupt(rng, image, delta_offset=len(data))
                 if mutated == image:

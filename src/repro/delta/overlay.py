@@ -15,23 +15,38 @@ a pending insert) — so ``inserted(p) ∩ base(p) = ∅`` and
 ``deleted(p) ⊆ base(p)`` always hold, and the overlay's answer composition
 never double-counts.
 
-Query costs, with Δ_p the normalised delta of pointer ``p``:
+Query costs, with Δ_p the normalised delta of pointer ``p`` and *dirty*
+the pointers whose effective row differs from the base:
 
 * ``is_alias(p, q)`` — O(log n + (|Δ_p| + |Δ_q|) log n): base answer, plus
   one membership probe per inserted fact.  Only when the base answer is
   *contested* — the base says alias and a deletion removed a witnessing
   shared object — does it fall back to scanning one base points-to set;
   the compaction threshold keeps that case rare and bounded.
-* list queries — output-linear plus |Δ| on the queried row/column.
+* ``list_aliases(p)`` for a clean ``p`` — the base answer plus one
+  overlay ``is_alias`` per dirty pointer: only a dirty ``q`` can gain or
+  lose ``p`` as an alias, so the base's clean members pass unchecked.  A
+  dirty ``p`` confirms every candidate (base aliases, dirty pointers, and
+  base pointers of the objects ``p`` gained).
+* ``list_points_to`` / ``list_pointed_by`` — output-linear plus |Δ| on
+  the queried row/column.
+* With no delta at all, or on a row/column the delta never touched,
+  every query (``is_alias_batch`` too) forwards straight to the base.
+
+List answers are unordered, as on every other backend.
 
 Instances are immutable after construction: :meth:`extend` composes a
-further edit script into a *new* overlay sharing the same base, which is
-what lets a live service hot-swap generations under concurrent readers.
+further edit script into a *new* overlay sharing the same base.  Delta
+rows are frozensets shared between generations, so ``extend`` copies four
+dicts of references and rebuilds only the rows its log touches — a
+service that pins every generation for ``as_of`` holds each row once per
+change, not once per generation.  That is what lets a live service
+hot-swap generations under concurrent readers cheaply.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.query import PestrieIndex
 from ..matrix.points_to import PointsToMatrix
@@ -48,46 +63,63 @@ _EMPTY: FrozenSet[int] = frozenset()
 
 
 class _DeltaState:
-    """Normalised delta sets, copy-on-extend."""
+    """Normalised delta rows, structure-shared between generations.
 
-    __slots__ = ("inserted", "deleted", "ins_by_obj", "del_by_obj", "base_count")
+    Every row is a frozenset that no generation ever mutates, so a
+    :meth:`copy` is four shallow dict copies and an update replaces only
+    the rows it changes.  ``base_count`` caches base row lengths; the base
+    never changes, so every generation of one overlay shares that dict.
+    ``net_ops`` counts the facts in ``inserted`` and ``deleted``.
+    """
 
-    def __init__(self):
-        self.inserted: Dict[int, Set[int]] = {}
-        self.deleted: Dict[int, Set[int]] = {}
-        self.ins_by_obj: Dict[int, Set[int]] = {}
-        self.del_by_obj: Dict[int, Set[int]] = {}
-        #: len(base points-to set), computed once per pointer ever touched.
-        self.base_count: Dict[int, int] = {}
+    __slots__ = ("inserted", "deleted", "ins_by_obj", "del_by_obj", "base_count",
+                 "net_ops")
+
+    def __init__(self, base_count: Optional[Dict[int, int]] = None):
+        self.inserted: Dict[int, FrozenSet[int]] = {}
+        self.deleted: Dict[int, FrozenSet[int]] = {}
+        self.ins_by_obj: Dict[int, FrozenSet[int]] = {}
+        self.del_by_obj: Dict[int, FrozenSet[int]] = {}
+        #: len(base points-to set), computed once per pointer ever asked.
+        self.base_count: Dict[int, int] = {} if base_count is None else base_count
+        self.net_ops = 0
 
     def copy(self) -> "_DeltaState":
-        twin = _DeltaState()
-        twin.inserted = {p: set(s) for p, s in self.inserted.items()}
-        twin.deleted = {p: set(s) for p, s in self.deleted.items()}
-        twin.ins_by_obj = {o: set(s) for o, s in self.ins_by_obj.items()}
-        twin.del_by_obj = {o: set(s) for o, s in self.del_by_obj.items()}
-        twin.base_count = dict(self.base_count)
+        twin = _DeltaState(self.base_count)
+        twin.inserted = dict(self.inserted)
+        twin.deleted = dict(self.deleted)
+        twin.ins_by_obj = dict(self.ins_by_obj)
+        twin.del_by_obj = dict(self.del_by_obj)
+        twin.net_ops = self.net_ops
         return twin
 
-    @staticmethod
-    def _add(forward: Dict[int, Set[int]], reverse: Dict[int, Set[int]],
-             pointer: int, obj: int) -> None:
-        forward.setdefault(pointer, set()).add(obj)
-        reverse.setdefault(obj, set()).add(pointer)
+    def update(self, forward: Dict[int, FrozenSet[int]],
+               reverse: Dict[int, FrozenSet[int]],
+               added: List[Fact], removed: List[Fact]) -> None:
+        """Add and remove ``(pointer, obj)`` facts in one forward/reverse pair.
 
-    @staticmethod
-    def _discard(forward: Dict[int, Set[int]], reverse: Dict[int, Set[int]],
-                 pointer: int, obj: int) -> None:
-        row = forward.get(pointer)
-        if row is not None:
-            row.discard(obj)
-            if not row:
-                del forward[pointer]
-        column = reverse.get(obj)
-        if column is not None:
-            column.discard(pointer)
-            if not column:
-                del reverse[obj]
+        ``added`` must be absent from ``forward`` and ``removed`` present,
+        so the net-op count moves by exactly their difference.
+        """
+        _replace_rows(forward, added, removed)
+        _replace_rows(reverse, [(o, p) for p, o in added], [(o, p) for p, o in removed])
+        self.net_ops += len(added) - len(removed)
+
+
+def _replace_rows(table: Dict[int, FrozenSet[int]], added: List[Fact],
+                  removed: List[Fact]) -> None:
+    """Rebuild each row of ``table`` the facts touch, once per row."""
+    changes: Dict[int, Tuple[List[int], List[int]]] = {}
+    for key, member in added:
+        changes.setdefault(key, ([], []))[0].append(member)
+    for key, member in removed:
+        changes.setdefault(key, ([], []))[1].append(member)
+    for key, (plus, minus) in changes.items():
+        row = table.get(key, _EMPTY).difference(minus).union(plus)
+        if row:
+            table[key] = row
+        else:
+            table.pop(key, None)
 
 
 class OverlayIndex:
@@ -126,25 +158,35 @@ class OverlayIndex:
             self._apply_net(state, inserts, deletes)
         registry = get_registry()
         registry.counter("repro_delta_overlay_extends_total").inc()
-        registry.gauge("repro_delta_net_ops").set(self.delta_size())
+        registry.gauge("repro_delta_net_ops").set(state.net_ops)
 
     def _apply_net(self, state: "_DeltaState", inserts, deletes) -> None:
+        # A net log names each fact once, so every op is decided against
+        # the state as it stood before the log; each touched row is then
+        # rebuilt once.
+        base = self._base
+        ins_added: List[Fact] = []
+        ins_removed: List[Fact] = []
+        del_added: List[Fact] = []
+        del_removed: List[Fact] = []
         for pointer, obj in inserts:
             self._check_pointer(pointer)
             self._check_object(obj)
-            self._base_row_len(pointer)
             if obj in state.deleted.get(pointer, _EMPTY):
-                state._discard(state.deleted, state.del_by_obj, pointer, obj)
-            elif not self._base.points_to_contains(pointer, obj):
-                state._add(state.inserted, state.ins_by_obj, pointer, obj)
+                del_removed.append((pointer, obj))
+            elif (obj not in state.inserted.get(pointer, _EMPTY)
+                  and not base.points_to_contains(pointer, obj)):
+                ins_added.append((pointer, obj))
         for pointer, obj in deletes:
             self._check_pointer(pointer)
             self._check_object(obj)
-            self._base_row_len(pointer)
             if obj in state.inserted.get(pointer, _EMPTY):
-                state._discard(state.inserted, state.ins_by_obj, pointer, obj)
-            elif self._base.points_to_contains(pointer, obj):
-                state._add(state.deleted, state.del_by_obj, pointer, obj)
+                ins_removed.append((pointer, obj))
+            elif (obj not in state.deleted.get(pointer, _EMPTY)
+                  and base.points_to_contains(pointer, obj)):
+                del_added.append((pointer, obj))
+        state.update(state.inserted, state.ins_by_obj, ins_added, ins_removed)
+        state.update(state.deleted, state.del_by_obj, del_added, del_removed)
 
     def extend(self, log: DeltaLog) -> "OverlayIndex":
         """A new overlay over the same base with ``log`` composed on top."""
@@ -185,8 +227,7 @@ class OverlayIndex:
 
     def delta_size(self) -> int:
         """Net delta ops currently overlaid on the base."""
-        return (sum(len(row) for row in self._state.inserted.values())
-                + sum(len(row) for row in self._state.deleted.values()))
+        return self._state.net_ops
 
     def base_fact_count(self) -> int:
         """Points-to facts in the base (computed once, O(facts))."""
@@ -246,12 +287,11 @@ class OverlayIndex:
 
     def is_alias(self, p: int, q: int) -> bool:
         """Effective IsAlias: do ``eff(p)`` and ``eff(q)`` intersect?"""
+        if not self._is_dirty(p) and not self._is_dirty(q):
+            # Out-of-range ids are never dirty: the base raises for them.
+            return self._base.is_alias(p, q)
         self._check_pointer(p)
         self._check_pointer(q)
-        dirty_p = self._is_dirty(p)
-        dirty_q = self._is_dirty(q)
-        if not dirty_p and not dirty_q:
-            return self._base.is_alias(p, q)
         if p == q:
             return self._eff_count(p) > 0
         state = self._state
@@ -297,6 +337,9 @@ class OverlayIndex:
 
     def is_alias_batch(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
         """Batched IsAlias: clean pairs ride the base's column-sorted path."""
+        state = self._state
+        if not state.inserted and not state.deleted:
+            return self._base.is_alias_batch(pairs)
         results = [False] * len(pairs)
         clean: List[Tuple[int, int, int]] = []
         for position, (p, q) in enumerate(pairs):
@@ -316,39 +359,56 @@ class OverlayIndex:
         """The base ptList column — still the right batching sort key."""
         return self._base.column_of(pointer)
 
+    # List answers are unordered, as on every other backend.  A row or
+    # column the delta never touched (out-of-range ids included) forwards
+    # to the base, which raises the range errors itself.
+
     def list_points_to(self, p: int) -> List[int]:
-        self._check_pointer(p)
         if not self._is_dirty(p):
             return self._base.list_points_to(p)
         state = self._state
         deleted = state.deleted.get(p, _EMPTY)
         result = [obj for obj in self._base.list_points_to(p) if obj not in deleted]
-        result.extend(sorted(state.inserted.get(p, _EMPTY)))
+        result.extend(state.inserted.get(p, _EMPTY))
         return result
 
     def list_pointed_by(self, obj: int) -> List[int]:
-        self._check_object(obj)
         state = self._state
+        if obj not in state.ins_by_obj and obj not in state.del_by_obj:
+            return self._base.list_pointed_by(obj)
         dropped = state.del_by_obj.get(obj, _EMPTY)
         result = [p for p in self._base.list_pointed_by(obj) if p not in dropped]
-        result.extend(sorted(state.ins_by_obj.get(obj, _EMPTY)))
+        result.extend(state.ins_by_obj.get(obj, _EMPTY))
         return result
 
     def list_aliases(self, p: int) -> List[int]:
-        """Effective ListAliases: base candidates plus delta-reached ones.
+        """Effective ListAliases.
 
-        Candidates beyond the base answer can only be pointers touched by
-        the delta or base pointers of an object ``p`` freshly gained; each
-        candidate is confirmed with one overlay ``is_alias``.
+        For a clean ``p`` only a dirty ``q`` can gain or lose ``p`` as an
+        alias: the base answer's clean members pass unchecked and each
+        dirty pointer is confirmed with one overlay ``is_alias``.  A dirty
+        ``p`` confirms every candidate: base aliases, dirty pointers, and
+        base pointers of an object ``p`` freshly gained.
         """
-        self._check_pointer(p)
+        state = self._state
+        inserted, deleted = state.inserted, state.deleted
+        if not inserted and not deleted:
+            return self._base.list_aliases(p)
+        if p not in inserted and p not in deleted:
+            result = [q for q in self._base.list_aliases(p)
+                      if q not in inserted and q not in deleted]
+            result.extend(q for q in inserted if self.is_alias(p, q))
+            result.extend(q for q in deleted
+                          if q not in inserted and self.is_alias(p, q))
+            return result
         candidates: Set[int] = set(self._base.list_aliases(p))
-        candidates.update(self.dirty_pointers())
-        for obj in self._state.inserted.get(p, _EMPTY):
+        candidates.update(inserted)
+        candidates.update(deleted)
+        # Pointers that gained one of p's fresh objects are dirty already.
+        for obj in inserted.get(p, _EMPTY):
             candidates.update(self._base.list_pointed_by(obj))
-            candidates.update(self._state.ins_by_obj.get(obj, _EMPTY))
         candidates.discard(p)
-        return [q for q in sorted(candidates) if self.is_alias(p, q)]
+        return [q for q in candidates if self.is_alias(p, q)]
 
     # ------------------------------------------------------------------
     # Bulk reconstruction

@@ -3,8 +3,9 @@
 Pestrie query structures are immutable after decode, so a cached answer
 stays valid until the service swaps its backend (``apply_delta``); the
 eviction policy is recency, plus targeted invalidation at swap time.
-Values are stored as immutable objects (booleans or tuples) so a hit can
-be handed to concurrent callers without copying.
+Stored values are never mutated: the alias service caches booleans and
+compact ``array("I")`` id lists, and copies a list answer into a fresh
+``list`` on every hit, so concurrent callers never share one.
 
 Invalidation is epoch-guarded against the compute/put race: a reader may
 compute an answer against the old backend, lose the CPU, and try to cache

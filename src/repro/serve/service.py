@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.query import PestrieIndex
@@ -92,7 +93,9 @@ class AliasService:
                                   capacity=slow_log_capacity,
                                   service=self._stats.service)
         self._column_of = getattr(backend, "column_of", None)
-        # Serialises writers (apply_delta); readers never take it.
+        # Serialises writers (apply_delta, prune_versions) against each
+        # other and against version resolution (as_of, versions()); the
+        # query paths never take it.
         self._swap_lock = threading.Lock()
         # MVCC state: every apply_delta stamps a new version, and every
         # superseded backend stays reachable (immutable, structure-shared)
@@ -422,7 +425,7 @@ class AliasService:
         return value
 
     def _snapshot_list(self, backend, version: int, kind: str,
-                       operand: int) -> Tuple[int, ...]:
+                       operand: int) -> List[int]:
         start = time.perf_counter()
         key = (kind, operand, version)
         value = self._cache.get(key, _MISS)
@@ -434,7 +437,7 @@ class AliasService:
                 with trace.span("serve.%s" % kind, version=version), \
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
-                    value = tuple(getattr(backend, kind)(operand))
+                    value = array("I", getattr(backend, kind)(operand))
                 _fill_cost(cost, backend, version, 0, 1, 1)
             self._cache.put(key, value)
         else:
@@ -444,7 +447,7 @@ class AliasService:
         self._stats.record(kind, elapsed)
         self._slow.record(kind, (operand,), elapsed, cache_hit=hit,
                           epoch=version, cost=cost)
-        return value
+        return value.tolist()
 
     # ------------------------------------------------------------------
     # Single-query API
@@ -481,15 +484,15 @@ class AliasService:
         return value
 
     def list_aliases(self, p: int) -> List[int]:
-        return list(self._list_query("list_aliases", p))
+        return self._list_query("list_aliases", p)
 
     def list_points_to(self, p: int) -> List[int]:
-        return list(self._list_query("list_points_to", p))
+        return self._list_query("list_points_to", p)
 
     def list_pointed_by(self, obj: int) -> List[int]:
-        return list(self._list_query("list_pointed_by", obj))
+        return self._list_query("list_pointed_by", obj)
 
-    def _list_query(self, kind: str, operand: int) -> Tuple[int, ...]:
+    def _list_query(self, kind: str, operand: int) -> List[int]:
         start = time.perf_counter()
         key = (kind, operand)
         value = self._cache.get(key, _MISS)
@@ -503,7 +506,7 @@ class AliasService:
                 with trace.span("serve.%s" % kind), \
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
-                    value = tuple(getattr(backend, kind)(operand))
+                    value = array("I", getattr(backend, kind)(operand))
                 _fill_cost(cost, backend, self._version, 0, 1, 1)
             self._cache.put(key, value, epoch=epoch)
         else:
@@ -513,7 +516,7 @@ class AliasService:
         self._stats.record(kind, elapsed)
         self._slow.record(kind, (operand,), elapsed, cache_hit=hit,
                           epoch=self._version, cost=cost)
-        return value
+        return value.tolist()
 
     # ------------------------------------------------------------------
     # Batch API
@@ -591,7 +594,7 @@ class AliasService:
 
     def _list_batch(self, kind: str, operands: Sequence[int]) -> List[List[int]]:
         start = time.perf_counter()
-        results: List[Optional[Tuple[int, ...]]] = [None] * len(operands)
+        results: List[Optional[array]] = [None] * len(operands)
         pending: Dict[int, List[int]] = {}
         hits = 0
         for position, operand in enumerate(operands):
@@ -622,7 +625,7 @@ class AliasService:
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
                     for operand in unique:
-                        value = tuple(query(operand))
+                        value = array("I", query(operand))
                         self._cache.put((kind, operand), value, epoch=epoch)
                         for position in pending[operand]:
                             results[position] = value
@@ -640,7 +643,7 @@ class AliasService:
                               cache_hit=not pending, batched=True,
                               queries=len(operands), epoch=self._version,
                               cost=cost)
-        return [list(value) for value in results]
+        return [value.tolist() for value in results]
 
 
 class AliasSnapshot:
@@ -686,16 +689,16 @@ class AliasSnapshot:
         return self._service._snapshot_is_alias(self._backend, self._version, p, q)
 
     def list_aliases(self, p: int) -> List[int]:
-        return list(self._service._snapshot_list(
-            self._backend, self._version, "list_aliases", p))
+        return self._service._snapshot_list(
+            self._backend, self._version, "list_aliases", p)
 
     def list_points_to(self, p: int) -> List[int]:
-        return list(self._service._snapshot_list(
-            self._backend, self._version, "list_points_to", p))
+        return self._service._snapshot_list(
+            self._backend, self._version, "list_points_to", p)
 
     def list_pointed_by(self, obj: int) -> List[int]:
-        return list(self._service._snapshot_list(
-            self._backend, self._version, "list_pointed_by", obj))
+        return self._service._snapshot_list(
+            self._backend, self._version, "list_pointed_by", obj)
 
     # -- batch queries ---------------------------------------------------
 

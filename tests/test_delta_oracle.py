@@ -396,3 +396,154 @@ class TestFlatBaseOracle:
             self._check_flat(matrix, log)
             checked += 1
         assert checked == 30
+
+
+# ----------------------------------------------------------------------
+# The clean-pointer fast path and structure sharing, over every base
+# engine: eager v3, lazy v3, and the zero-copy flat v4 index.
+# ----------------------------------------------------------------------
+
+BASE_KINDS = {
+    "eager": lambda matrix: index_from_bytes(encode(matrix)),
+    "lazy-v3": lambda matrix: index_from_bytes(encode(matrix, version=3), lazy=True),
+    "flat": lambda matrix: index_from_bytes(encode(matrix, version=4), lazy=True),
+}
+
+
+@pytest.fixture(params=sorted(BASE_KINDS))
+def make_base(request):
+    """A base-index factory for one engine; closes what it opened."""
+    opened = []
+
+    def build(matrix: PointsToMatrix):
+        base = BASE_KINDS[request.param](matrix)
+        opened.append(base)
+        return base
+
+    yield build
+    for base in opened:
+        close = getattr(base, "close", None)
+        if close is not None:
+            close()
+
+
+def table1_answers(index, n_pointers: int, n_objects: int):
+    """Every Table 1 answer of ``index``, list answers as sets."""
+    return (
+        [[index.is_alias(p, q) for q in range(n_pointers)] for p in range(n_pointers)],
+        [set(index.list_points_to(p)) for p in range(n_pointers)],
+        [set(index.list_aliases(p)) for p in range(n_pointers)],
+        [set(index.list_pointed_by(o)) for o in range(n_objects)],
+    )
+
+
+class CountingBase:
+    """Delegates to a real base, counting ``list_aliases`` calls."""
+
+    def __init__(self, base):
+        self._base = base
+        self.list_aliases_calls = 0
+
+    def list_aliases(self, p):
+        self.list_aliases_calls += 1
+        return self._base.list_aliases(p)
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+class TestCleanPointerPath:
+    def test_dirty_pointers_gain_and_lose_a_clean_alias(self, make_base):
+        # Pointer 0 stays clean.  1 loses its shared object, 2 gains one,
+        # 3 stays an alias through a second object, 4 stays unrelated, and
+        # 5 is a clean alias throughout.
+        matrix = PointsToMatrix.from_rows(
+            [[0], [0], [1], [0, 2], [3], [0]], 4)
+        log = DeltaLog().delete(1, 0).insert(2, 0).delete(3, 2).insert(4, 1)
+        overlay = OverlayIndex(make_base(matrix), log)
+        assert 0 not in overlay.dirty_pointers()
+        assert set(overlay.list_aliases(0)) == {2, 3, 5}
+        assert [overlay.is_alias(0, q) for q in range(6)] == [
+            True, False, True, True, False, True]
+        oracle = index_from_bytes(encode(apply_script(matrix, log)))
+        assert_table1_equivalent(overlay, oracle, 6, 4)
+
+    def test_extend_leaves_the_older_generation_intact(self, make_base):
+        matrix = make_random_matrix(12, 6, density=0.35, seed=31)
+        rng = random.Random(31)
+        log1 = random_script(rng, matrix, 14)
+        g1 = OverlayIndex(make_base(matrix), log1)
+        before = table1_answers(g1, 12, 6)
+        net_before = g1.net_delta()
+        size_before = g1.delta_size()
+        # log2 revisits exactly the facts log1 touched, flipping each op,
+        # plus one fresh fact on every touched pointer.
+        log2 = DeltaLog()
+        for op, pointer, obj in log1:
+            if op == "+":
+                log2.delete(pointer, obj)
+            else:
+                log2.insert(pointer, obj)
+            log2.insert(pointer, (obj + 1) % 6)
+        g2 = g1.extend(log2)
+        assert table1_answers(g1, 12, 6) == before
+        assert g1.net_delta() == net_before
+        assert g1.delta_size() == size_before
+        edited = apply_script(apply_script(matrix, log1), log2)
+        oracle = index_from_bytes(encode(edited))
+        assert_table1_equivalent(g2, oracle, 12, 6)
+        inserts, deletes = g2.net_delta()
+        assert g2.delta_size() == len(inserts) + len(deletes)
+        # Rows a later log does not touch are shared, not copied.
+        dirty = sorted(g1.dirty_pointers())
+        assert len(dirty) >= 2
+        g3 = g1.extend(DeltaLog().delete(dirty[0], 0))
+        for pointer in dirty[1:]:
+            for table in ("inserted", "deleted"):
+                row = getattr(g1._state, table).get(pointer)
+                if row is not None:
+                    assert getattr(g3._state, table)[pointer] is row
+
+    @pytest.mark.parametrize("edited", [False, True])
+    def test_out_of_range_ids_raise(self, make_base, edited):
+        matrix = make_random_matrix(7, 4, density=0.4, seed=32)
+        log = DeltaLog().insert(1, 2).delete(3, 0) if edited else DeltaLog()
+        overlay = OverlayIndex(make_base(matrix), log)
+        assert (overlay.delta_size() == 0) is not edited
+        for p, q in ((7, 0), (0, 7), (-1, 1), (1, -1)):
+            with pytest.raises(IndexError):
+                overlay.is_alias(p, q)
+            with pytest.raises(IndexError):
+                overlay.is_alias_batch([(0, 0), (p, q)])
+        for bad in (7, -1):
+            with pytest.raises(IndexError):
+                overlay.list_points_to(bad)
+            with pytest.raises(IndexError):
+                overlay.list_aliases(bad)
+        for bad in (4, -1):
+            with pytest.raises(IndexError):
+                overlay.list_pointed_by(bad)
+
+    def test_clean_pointer_confirms_only_dirty_pointers(self, make_base):
+        matrix = make_random_matrix(30, 8, density=0.3, seed=33)
+        base = CountingBase(make_base(matrix))
+        for log in (DeltaLog(), random_script(random.Random(33), matrix, 9)):
+            overlay = OverlayIndex(base, log)
+            dirty = overlay.dirty_pointers()
+            confirmations = []
+            is_alias = overlay.is_alias
+
+            def counting_is_alias(p, q):
+                confirmations.append((p, q))
+                return is_alias(p, q)
+
+            overlay.is_alias = counting_is_alias
+            for p in range(30):
+                if p in dirty:
+                    continue
+                base.list_aliases_calls = 0
+                del confirmations[:]
+                overlay.list_aliases(p)
+                assert base.list_aliases_calls == 1
+                assert len(confirmations) <= len(dirty)
+                assert {q for _, q in confirmations} <= dirty
