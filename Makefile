@@ -18,8 +18,8 @@ fuzz:
 	$(RUN) -m repro.core.fuzz --iterations 600
 
 # Focused sweep over the zero-copy PESTRIE4 layout: every case checks the
-# flat engine against the eager oracle and throws seeded corruption at the
-# flat sections (any effective mutation must die as CorruptFileError).
+# query engine against the source matrix and throws seeded corruption at
+# the flat sections (any effective mutation must die as CorruptFileError).
 fuzz-v4:
 	$(RUN) -m repro.core.fuzz --iterations 300 --versions 4
 

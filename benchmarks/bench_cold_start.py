@@ -5,26 +5,26 @@ validation, and a query pays only for the structures it touches.  This
 bench measures, on one synthetic program sized past the largest Table 2
 subject, four cold-start scenarios against the same ``PESTRIE3`` file:
 
-* ``eager``  — ``load_index(path)``: full decode + full index build, then
-  the first ``is_alias``;
+* ``eager``  — ``load_index(path)``: full decode + every query column
+  derived, then the first ``is_alias``;
 * ``lazy, same-ES query`` — ``load_index(path, lazy=True)`` answering the
-  same question: two pointers in one equivalence set resolve from the two
-  timestamp sections alone, so the ptList sweep is never built.  This is
-  the gated scenario — the lazy answer must arrive before the eager path
-  finishes decoding;
+  same question: two pointers in one equivalence set resolve from the
+  timestamp columns alone, so the rectangle columns are never derived.
+  This is the gated scenario — the lazy answer must arrive before the
+  eager path finishes decoding;
 * ``lazy, cross-ES query`` — the lazy worst case: the first query needs
-  the column sweep, so it materialises the same structure the eager build
-  pays for (parity within noise, reported but not gated);
+  the slab columns, so it derives the same columns the eager load builds
+  (parity within noise, reported but not gated);
 * ``lazy open only`` — header + table-of-contents + CRC validation alone,
   the cost paid by ``info``-style tools that never query;
 * ``flat, same/cross-ES query`` — the same two questions against a
   ``PESTRIE4`` encoding of the same program, answered by the zero-copy
-  :class:`~repro.core.flat.FlatIndex`.  The cross-ES case is the headline:
-  where the ``PESTRIE3`` lazy path must materialise the whole column sweep
-  for its first cross-set answer, the flat engine binary-searches the
-  mapped slab arrays directly, so the gate requires it to come in under a
-  quarter of the materialising cross-ES time (and in single-digit
-  milliseconds at full scale).
+  :class:`~repro.core.flat.FlatIndex` straight from the mapped sections.
+  The cross-ES case is the headline: where the ``PESTRIE3`` lazy path must
+  derive the slab columns for its first cross-set answer, the ``PESTRIE4``
+  file already holds them, so the gate requires it to come in under a
+  quarter of the deriving cross-ES time (and in single-digit milliseconds
+  at full scale).
 
 Latency is min-of-repeats with the scenarios interleaved, so scheduler
 drift hits every side equally; peak memory is ``tracemalloc`` over one
@@ -167,7 +167,7 @@ def test_cold_start(tmp_path):
 
     # The acceptance gate: the lazy open answers its first query long before
     # the eager path finishes decoding, and a query that needs only the
-    # timestamp sections never pays for the sweep (latency or memory).
+    # timestamp columns never pays for the slab columns (latency or memory).
     gated = latency["lazy open + same-ES is_alias"]
     baseline = latency["eager decode + first is_alias"]
     assert gated < baseline, latency
@@ -175,8 +175,8 @@ def test_cold_start(tmp_path):
     assert peaks["lazy open + same-ES is_alias"] < 0.5 * peaks["eager decode + first is_alias"], peaks
     assert peaks["lazy open only"] < 0.1 * peaks["eager decode + first is_alias"], peaks
 
-    # The zero-copy gate: the flat engine's first *cross*-ES answer must not
-    # pay for a sweep build — under a quarter of the materialising lazy
+    # The zero-copy gate: a v4 file's first *cross*-ES answer must not pay
+    # for deriving the slab columns — under a quarter of the deriving lazy
     # path, single-digit milliseconds at full scale, and near-zero heap
     # (its query structure is the mapped file, not Python objects).
     flat_cross = latency["flat v4 open + cross-ES is_alias"]

@@ -22,7 +22,7 @@ from repro.bdd.persist import BddPersistence
 from repro.bench.harness import timed
 from repro.bench.suite import BDD_SUBJECTS, SUBJECT_NAMES, Subject, get_subject
 from repro.core.pipeline import load_index, persist
-from repro.core.query import PestrieIndex
+from repro.core.flat import FlatIndex
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -36,7 +36,7 @@ class EncodedSubject:
     pes_size: int
     pes_construct_seconds: float
     pes_decode_seconds: float
-    pestrie: PestrieIndex
+    pestrie: FlatIndex
 
     bitp_path: str
     bitp_size: int

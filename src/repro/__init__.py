@@ -15,7 +15,7 @@ Quickstart::
 """
 
 from .core import (
-    PestrieIndex,
+    FlatIndex,
     build_pestrie,
     encode,
     index_from_bytes,
@@ -35,7 +35,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AliasService",
-    "PestrieIndex",
+    "FlatIndex",
     "PointsToMatrix",
     "ShardedIndex",
     "SparseBitmap",

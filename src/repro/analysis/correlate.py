@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.pipeline import load_index, persist
-from ..core.query import PestrieIndex
+from ..core.flat import FlatIndex
 from ..matrix.points_to import PointsToMatrix
 from .callgraph import CallGraph
 from .ir import Program
@@ -43,7 +43,7 @@ class Archive:
     pointer_index: Dict[str, int]
     object_index: Dict[str, int]
     call_edge_ids: Dict[str, int]
-    index: PestrieIndex
+    index: FlatIndex
 
     def pointer_id(self, name: str) -> int:
         return self.pointer_index[name]

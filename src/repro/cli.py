@@ -32,8 +32,8 @@ from .analysis.transform import context_sensitive_to_matrix, flow_sensitive_to_m
 from .baselines.bitmap_persist import BitmapPersistence
 from .baselines.bzip_persist import BzipPersistence
 from .core.decoder import CorruptFileError, decode_bytes, detect_format
+from .core.flat import FlatIndex
 from .core.pipeline import load_index, persist
-from .core.query import PestrieIndex
 from .matrix.points_to import PointsToMatrix
 
 ANALYSES = ("andersen", "steensgaard", "flow-sensitive", "1-callsite", "2-callsite")
@@ -164,7 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = decode_bytes(base)
         # Building the query structure exercises the cross-consistency the
         # clients rely on, not just the byte-level checks.
-        PestrieIndex(payload)
+        FlatIndex.from_payload(payload)
         records = []
         if tail:
             records = decode_records(data, len(base), payload.n_pointers,
@@ -184,13 +184,13 @@ def cmd_query(args: argparse.Namespace) -> int:
         from .delta import VersionUnavailableError, load_versions
 
         try:
-            versioned = load_versions(args.file, mode=args.mode, lazy=True)
+            versioned = load_versions(args.file, lazy=True)
             index = versioned.as_of(args.as_of)
         except (CorruptFileError, VersionUnavailableError) as error:
             print("%s: %s" % (args.file, error), file=sys.stderr)
             return 1
     else:
-        index = _load_queryable(args.file, args.mode)
+        index = _load_queryable(args.file)
     operands = [int(value) for value in args.operands]
     if args.kind == "is_alias" and len(operands) != 2:
         print("is_alias needs two pointer ids", file=sys.stderr)
@@ -226,12 +226,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_queryable(path: str, mode: str, lazy: bool = True):
+def _load_queryable(path: str, lazy: bool = True):
     """Load a file into a query structure, delta-aware for PESTRIE3/4.
 
     Defaults to a lazy mmap-backed open: a single CLI query pays only for
-    the structures that query touches (on a ``PESTRIE4`` file, none — the
-    flat engine answers from the mapped bytes).  The mapping lives until
+    the columns that query touches (on a ``PESTRIE4`` file, none — they are
+    read from the mapped bytes).  The mapping lives until
     process exit, which for a one-shot CLI invocation is the file's
     natural scope.
     """
@@ -240,8 +240,8 @@ def _load_queryable(path: str, mode: str, lazy: bool = True):
     if detect_format(prefix)[0] >= 3:
         from .delta import load_overlay
 
-        return load_overlay(path, mode=mode, lazy=lazy)
-    return load_index(path, mode=mode, lazy=lazy)
+        return load_overlay(path, lazy=lazy)
+    return load_index(path, lazy=lazy)
 
 
 def _parse_fact(text: str) -> tuple:
@@ -372,8 +372,7 @@ def cmd_serve_stats(args: argparse.Namespace) -> int:
     from .bench.workloads import IS_ALIAS, TraceSpec, generate_trace
     from .serve import AliasService
 
-    service = AliasService.from_files(args.files, mode=args.mode,
-                                      cache_size=args.cache_size)
+    service = AliasService.from_files(args.files, cache_size=args.cache_size)
     trace = generate_trace(
         TraceSpec(length=args.queries, seed=args.seed),
         pointers=list(range(service.n_pointers)),
@@ -416,10 +415,10 @@ def cmd_daemon(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return run_workers(
             args.files, args.socket, args.workers,
-            http_port=args.http_port, mode=args.mode,
+            http_port=args.http_port,
             cache_size=args.cache_size, max_pending=args.max_pending,
         )
-    service = AliasService.from_files(args.files, mode=args.mode, lazy=True,
+    service = AliasService.from_files(args.files, lazy=True,
                                       cache_size=args.cache_size)
     try:
         print("daemon: serving %d file(s) on %s%s"
@@ -456,7 +455,7 @@ def _exercise_pipeline(source: str, analysis: str, queries: int, seed: int) -> N
         log = DeltaLog()
         log.insert(0, 0)
         append_delta(path, log, auto_compact_ratio=0.9)
-        index = _load_queryable(path, "ptlist", lazy=False)
+        index = _load_queryable(path, lazy=False)
         record_index_footprint(index)
         service = AliasService.from_index(index)
         workload = generate_trace(
@@ -607,7 +606,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         with tracer.capture() as spans:
             if args.stage == "decode":
-                index = _load_queryable(args.file, args.mode, lazy=False)
+                index = _load_queryable(args.file, lazy=False)
                 record_index_footprint(index)
             else:
                 matrix = _matrix_from_source(args.file, args.analysis)
@@ -615,7 +614,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 path = os.path.join(directory, "m.pes")
                 persist(matrix, path)
                 if args.stage == "pipeline":
-                    index = _load_queryable(path, args.mode, lazy=False)
+                    index = _load_queryable(path, lazy=False)
                     record_index_footprint(index)
                     if index.n_pointers >= 2:
                         index.is_alias(0, 1)
@@ -679,8 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("is_alias", "list_points_to", "list_pointed_by", "list_aliases"),
     )
     query.add_argument("operands", nargs="+")
-    query.add_argument("--mode", default="ptlist", choices=("ptlist", "segment"),
-                       help="query structure: per-column lists or low-memory segment tree")
     query.add_argument("--as-of", type=int, default=None, metavar="VERSION",
                        help="answer as of this delta-chain version (epoch) "
                             "instead of the file's head state")
@@ -740,8 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stats.add_argument("--queries", type=int, default=10_000,
                              help="workload length (default 10000)")
     serve_stats.add_argument("--seed", type=int, default=0)
-    serve_stats.add_argument("--mode", default="ptlist",
-                             choices=("ptlist", "segment"))
     serve_stats.add_argument("--batch-size", type=int, default=64,
                              help="IsAlias batching window; 1 disables batching")
     serve_stats.add_argument("--cache-size", type=int, default=4096,
@@ -764,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--workers", type=int, default=1,
                         help="pre-fork this many worker processes over the "
                              "shared mmap (disables live deltas; default 1)")
-    daemon.add_argument("--mode", default="ptlist", choices=("ptlist", "segment"))
     daemon.add_argument("--cache-size", type=int, default=4096,
                         help="per-process LRU result-cache capacity")
     daemon.add_argument("--max-pending", type=int, default=64,
@@ -829,7 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("file", help=".pm/IR source (encode, pipeline) or "
                                     ".pes file (decode)")
     trace.add_argument("--analysis", choices=ANALYSES, default="andersen")
-    trace.add_argument("--mode", default="ptlist", choices=("ptlist", "segment"))
     trace.set_defaults(handler=cmd_trace)
     return parser
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Set, Tuple
 
-from ..core.query import PestrieIndex
+from ..core.flat import FlatIndex
 
 
 @dataclass
@@ -52,7 +52,7 @@ def _pointer_candidates(index) -> Optional[Set[int]]:
     return candidates
 
 
-def diff_points_to(old: PestrieIndex, new: PestrieIndex,
+def diff_points_to(old: FlatIndex, new: FlatIndex,
                    candidates: Optional[Iterable[int]] = None) -> PointsToDiff:
     """All ``(pointer, object)`` facts gained or lost between snapshots.
 
@@ -84,8 +84,7 @@ def diff_points_to(old: PestrieIndex, new: PestrieIndex,
     return diff
 
 
-def diff_versions(path: str, v1: int, v2: int,
-                  mode: str = "ptlist") -> PointsToDiff:
+def diff_versions(path: str, v1: int, v2: int) -> PointsToDiff:
     """Fact-level difference between two versions of *one* persisted file.
 
     Opens the file once through the versioned loader, pins both epochs,
@@ -96,7 +95,7 @@ def diff_versions(path: str, v1: int, v2: int,
     """
     from ..delta import load_versions
 
-    versioned = load_versions(path, mode=mode)
+    versioned = load_versions(path)
     try:
         old = versioned.as_of(v1)
         new = versioned.as_of(v2)
@@ -107,7 +106,7 @@ def diff_versions(path: str, v1: int, v2: int,
 
 
 def new_alias_pairs(
-    old: PestrieIndex, new: PestrieIndex, limit: int = 1_000_000
+    old: FlatIndex, new: FlatIndex, limit: int = 1_000_000
 ) -> Set[Tuple[int, int]]:
     """Alias pairs present in the new snapshot but not the old one.
 
@@ -125,7 +124,7 @@ def new_alias_pairs(
     return fresh
 
 
-def impacted_pointers(old: PestrieIndex, new: PestrieIndex) -> Set[int]:
+def impacted_pointers(old: FlatIndex, new: FlatIndex) -> Set[int]:
     """Pointers whose points-to set changed in any direction."""
     diff = diff_points_to(old, new)
     return {pointer for pointer, _ in diff.added} | {

@@ -52,8 +52,7 @@ def transitive_impact(
     return impacted
 
 
-def version_impact(path: str, v1: int, v2: int, rounds: int = 1,
-                   mode: str = "ptlist") -> Set[int]:
+def version_impact(path: str, v1: int, v2: int, rounds: int = 1) -> Set[int]:
     """Blast radius of the edits between two versions of one file.
 
     The changed-object set is read straight off the delta records between
@@ -62,7 +61,7 @@ def version_impact(path: str, v1: int, v2: int, rounds: int = 1,
     """
     from ..delta import load_versions
 
-    versioned = load_versions(path, mode=mode)
+    versioned = load_versions(path)
     try:
         newer = versioned.as_of(max(v1, v2))
         _, objects = versioned.dirty_between(v1, v2)

@@ -11,7 +11,7 @@ two ways of producing them:
   the source of the paper's 123.6× headline speed-up.
 
 Both are implemented against any backend exposing the Table 1 interface
-(PestrieIndex, BitmapIndex, DemandDriven, PointsToBdd), so the benchmark
+(FlatIndex, BitmapIndex, DemandDriven, PointsToBdd), so the benchmark
 can run the same client over every encoding.
 """
 
@@ -57,7 +57,7 @@ def aliasing_pairs_by_list_aliases(
 def aliasing_pairs_bulk(index, base_pointers: Sequence[int]) -> Set[Tuple[int, int]]:
     """Method 3 (ours): one pass over the rectangle encoding.
 
-    Uses :meth:`PestrieIndex.iter_alias_pairs` to stream every alias pair
+    Uses :meth:`FlatIndex.iter_alias_pairs` to stream every alias pair
     in the program once and keeps those between base pointers — no
     per-pointer query loop at all.  Fastest when the base-pointer set is a
     large fraction of all pointers.

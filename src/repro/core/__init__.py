@@ -3,6 +3,7 @@
 from .builder import ORDER_CHOICES, build_pestrie, resolve_order
 from .decoder import CorruptFileError, PestriePayload, decode_bytes, detect_format, load_payload
 from .encoder import ABSENT, DEFAULT_VERSION
+from .flat import FlatIndex
 from .ioutil import atomic_write
 from .hub import (
     hub_degrees,
@@ -15,7 +16,6 @@ from .named import NamedIndex, stem_of
 from .trie import StandardTrie, lemma_3_holds
 from .intervals import assign_intervals, contains, cross_edge_interval, group_interval
 from .pipeline import encode, index_from_bytes, load_index, persist
-from .query import PestrieIndex
 from .reachability import pointed_by, points_to, verify_theorem_1, xi_reachable_groups
 from .segment_tree import Rect
 from .stages import (
@@ -41,11 +41,11 @@ __all__ = [
     "BuildReport",
     "CorruptFileError",
     "CrossEdge",
+    "FlatIndex",
     "Group",
     "NamedIndex",
     "StandardTrie",
     "Pestrie",
-    "PestrieIndex",
     "PestriePayload",
     "ProcessExecutor",
     "Rect",

@@ -321,19 +321,20 @@ def detect_format(data: bytes) -> Tuple[int, bool]:
     raise CorruptFileError("not a Pestrie persistent file (bad magic %r)" % magic)
 
 
-def _instrumented_decode(supplier, nbytes: int) -> PestriePayload:
+def _instrumented_decode(supplier, nbytes: int):
     """Run one eager decode under the ``repro_decode_*`` instrumentation.
 
-    ``supplier`` produces a fully validated payload (and is expected to fail
-    only with :class:`CorruptFileError`); both the in-memory and the
-    mmap-backed decode paths funnel through here so the telemetry contract
-    is identical regardless of how the bytes arrived.
+    ``supplier`` returns ``(result, rectangle_count)`` for a fully
+    validated result — a payload, or an index whose columns are built —
+    and is expected to fail only with :class:`CorruptFileError`.  Every
+    eager path funnels through here so the telemetry contract is identical
+    regardless of how the bytes arrived.
     """
     start = time.perf_counter()
     registry = get_registry()
     try:
         with trace.span("decode", bytes=nbytes):
-            payload = supplier()
+            result, rectangles = supplier()
     except CorruptFileError:
         registry.counter("repro_decode_total", result="corrupt").inc()
         registry.gauge("repro_decode_intact").set(0)
@@ -341,9 +342,9 @@ def _instrumented_decode(supplier, nbytes: int) -> PestriePayload:
     registry.counter("repro_decode_total", result="ok").inc()
     registry.gauge("repro_decode_intact").set(1)
     registry.gauge("repro_decode_bytes").set(nbytes)
-    registry.gauge("repro_decode_rectangles").set(len(payload.rects))
+    registry.gauge("repro_decode_rectangles").set(rectangles)
     registry.histogram("repro_decode_seconds").observe(time.perf_counter() - start)
-    return payload
+    return result
 
 
 def decode_bytes(data: bytes) -> PestriePayload:
@@ -362,8 +363,9 @@ def decode_bytes(data: bytes) -> PestriePayload:
     """
     from ..store import Container  # deferred: store builds on this module
 
-    def supplier() -> PestriePayload:
-        return Container.from_bytes(data, allow_tail=False).payload()
+    def supplier():
+        payload = Container.from_bytes(data, allow_tail=False).payload()
+        return payload, len(payload.rects)
 
     return _instrumented_decode(supplier, len(data))
 
@@ -374,8 +376,9 @@ def load_payload(path: str) -> PestriePayload:
 
     nbytes = os.path.getsize(path)
 
-    def supplier() -> PestriePayload:
+    def supplier():
         with Container.open(path, allow_tail=False) as container:
-            return container.payload()
+            payload = container.payload()
+            return payload, len(payload.rects)
 
     return _instrumented_decode(supplier, nbytes)

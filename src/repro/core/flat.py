@@ -1,10 +1,8 @@
-"""The zero-copy v4 query engine: Table 1 answers straight from mapped bytes.
+"""The query engine: Table 1 answers from flat struct-of-arrays columns.
 
-``PESTRIE4`` files carry, after the ten classic sections, a set of *flat*
-struct-of-arrays sections whose on-disk form **is** the query form — the
-persistent/volatile split of the exemplar ``PPtr`` design, applied to a
-whole query structure.  Everything the hot queries need is precomputed by
-the encoder into fixed-width little-endian arrays:
+Section 4's query structure is stored as fixed-width little-endian arrays
+whose on-disk form **is** the query form — the persistent/volatile split of
+the exemplar ``PPtr`` design, applied to a whole query structure:
 
 * the origin table (``origin_ts`` sorted ascending, ``origin_obj`` /
   ``obj_rank`` as mutually inverse permutations) answers PES membership and
@@ -13,36 +11,56 @@ the encoder into fixed-width little-endian arrays:
   a comparison;
 * ``sorted_ptr_ts`` / ``sorted_ptr_id`` serve the range-reporting half of
   every list query;
-* the column sweep is persisted as slab columns: ``slab_breaks`` (first
-  column per slab), ``slab_offsets`` (entry ranges), and the entry columns
-  ``ent_y1`` / ``ent_y2`` / ``ent_flags`` sorted by ``y1`` within a slab —
-  the same shared-slab structure :class:`~repro.core.query._ColumnSweep`
-  builds in memory, minus the Python objects;
+* the ptList is stored as slab columns: ``slab_breaks`` (first column per
+  slab), ``slab_offsets`` (entry ranges), and the entry columns ``ent_y1``
+  / ``ent_y2`` / ``ent_flags`` sorted by ``y1`` within a slab.  A slab is
+  a maximal column range over which the set of stabbing rectangles (each
+  inserted once as stored and once mirrored) is constant, so a wide
+  rectangle costs a few shared slabs, never one list per column;
 * the per-object Case-1 span table (``c1_offsets`` → ``c1_x1``/``c1_x2``)
   serves ``points_to_contains`` and ``list_pointed_by``.
 
-:class:`FlatIndex` answers every Table 1 query by binary-searching
-``memoryview`` casts over these sections — no per-section Python list is
-ever rebuilt, so open-to-first-answer is bounded by the container's header
-validation plus a one-time O(sections) structural check, not by the
-rectangle count.  Corrupted bytes cannot reach a query: the container
-verifies the CRC32 trailer over the *whole* image (flat sections included)
-at open, and the structural invariants the searches rely on (monotone
-breaks and offset tables, in-range ranks) are re-checked once before the
-first answer, so a forged-but-checksummed image still fails with
-:class:`CorruptFileError` instead of mis-answering.
+:class:`FlatIndex` is the one engine behind every loader, for every format:
+
+* ``PESTRIE4`` images persist these columns, so the index reads them
+  through ``memoryview`` casts over the mapped sections and never rebuilds
+  anything;
+* ``PESTRIE1``–``PESTRIE3`` images and in-memory payloads derive the same
+  columns with :func:`build_flat_sections`'s two halves, each at the first
+  query that needs it: the timestamp columns (enough for ``pes_of``,
+  ``column_of`` and same-PES ``is_alias``) and the rectangle columns.  A
+  lazy open stays O(header); the parse is charged to the first query.
+
+**What is checked.**  Derived columns come from timestamps and rectangles
+the decoder already validated (ranges, unique origins, no pointer before
+the first origin, every Case-1 ``y1`` an origin), so they are consistent
+by construction.  Mapped ``PESTRIE4`` columns are covered by the CRC32
+trailer at open, and :meth:`FlatIndex._validate` re-checks once, before the
+first answer, the invariants the searches index with: strictly increasing
+origin and slab-break tables, in-range ranks and pointer ids, ``pes_rank``
+absent exactly where the pointer is untracked, sorted pointer timestamps,
+and offset tables that are monotone and span their entry columns.  That
+turns a forged-but-checksummed image whose tables would index out of
+bounds into :class:`CorruptFileError`.  It does *not* prove the columns
+agree with the classic sections or with each other: a resealed image can
+still pass these checks and answer as no single matrix would.  A resealed
+fuzz arm that closes that gap is an open ROADMAP item.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 import threading
+from array import array
 from bisect import bisect_left, bisect_right, insort
+from itertools import islice
+from operator import le, lt
 from typing import List, Optional, Sequence, Tuple
 
 from ..matrix.points_to import PointsToMatrix
-from .decoder import FLAT_SECTION_NAMES, CorruptFileError
-from .encoder import ABSENT, _U32
+from .decoder import FLAT_SECTION_NAMES, CorruptFileError, PestriePayload, _validate
+from .encoder import ABSENT
 
 #: ``ent_flags`` bits.
 FLAT_CASE1 = 0x01
@@ -53,31 +71,18 @@ N_FLAT_SECTIONS = len(FLAT_SECTION_NAMES)
 
 
 # ----------------------------------------------------------------------
-# Encode-time construction
+# Column construction (encode time for PESTRIE4, first touch otherwise)
 # ----------------------------------------------------------------------
 
 def _pack_u32(values: Sequence[int]) -> bytes:
-    import struct
-
     return struct.pack("<%dI" % len(values), *values)
 
 
-def build_flat_sections(pointer_ts: List[int], object_ts: List[int],
-                        rects: Sequence[Tuple[object, bool]]):
-    """The flat counts and section payloads for one Pestrie.
-
-    ``pointer_ts`` uses the raw :data:`~repro.core.encoder.ABSENT` sentinel;
-    ``rects`` are ``(rect, case1)`` pairs in on-disk decode order, so the
-    resulting slab entry lists mirror exactly what a lazy in-memory build
-    over the decoded sections would produce.  Returns
-    ``((n_tracked, n_slabs, n_entries, n_c1), [section_bytes...])`` with the
-    sections in :data:`~repro.core.decoder.FLAT_SECTION_NAMES` order.
-    """
-    n_objects = len(object_ts)
-
-    order = sorted(range(n_objects), key=object_ts.__getitem__)
+def _timestamp_columns(pointer_ts: Sequence[int], object_ts: Sequence[int]):
+    """``origin_ts`` … ``sorted_ptr_id``: the first six flat sections."""
+    order = sorted(range(len(object_ts)), key=object_ts.__getitem__)
     origin_ts = [object_ts[obj] for obj in order]
-    obj_rank = [0] * n_objects
+    obj_rank = [0] * len(object_ts)
     for rank, obj in enumerate(order):
         obj_rank[obj] = rank
 
@@ -91,10 +96,14 @@ def build_flat_sections(pointer_ts: List[int], object_ts: List[int],
     )
     sorted_ptr_ts = [ts for ts, _ in tracked]
     sorted_ptr_id = [pointer for _, pointer in tracked]
+    return [origin_ts, order, obj_rank, pes_rank, sorted_ptr_ts, sorted_ptr_id]
 
-    # The event sweep, exactly as the in-memory _ColumnSweep runs it: one
-    # forward and one mirrored span per rectangle, slabs between consecutive
-    # event coordinates, entries kept sorted by the unique (y1, serial) key.
+
+def _rect_columns(object_ts: Sequence[int], rects: Sequence[Tuple[object, bool]]):
+    """``slab_breaks`` … ``c1_x2``: the last eight flat sections."""
+    # The event sweep: one forward and one mirrored span per rectangle,
+    # slabs between consecutive event coordinates, entries kept sorted by
+    # the unique (y1, serial) key.
     events: List[Tuple[int, int, int, int, int, int]] = []
     serial = 0
     for rect, case1 in rects:
@@ -134,7 +143,7 @@ def build_flat_sections(pointer_ts: List[int], object_ts: List[int],
 
     # Case-1 spans grouped by pointed-to object, sorted within each group.
     obj_at_ts = {ts: obj for obj, ts in enumerate(object_ts)}
-    spans_by_obj: List[List[Tuple[int, int]]] = [[] for _ in range(n_objects)]
+    spans_by_obj: List[List[Tuple[int, int]]] = [[] for _ in object_ts]
     for rect, case1 in rects:
         if case1:
             spans_by_obj[obj_at_ts[rect.y1]].append((rect.x1, rect.x2))
@@ -147,24 +156,24 @@ def build_flat_sections(pointer_ts: List[int], object_ts: List[int],
             c1_x1.append(x1)
             c1_x2.append(x2)
         c1_offsets.append(len(c1_x1))
+    return [slab_breaks, slab_offsets, ent_y1, ent_y2, ent_flags,
+            c1_offsets, c1_x1, c1_x2]
 
-    counts = (len(sorted_ptr_ts), len(slab_breaks), len(ent_y1), len(c1_x1))
-    sections = [
-        _pack_u32(origin_ts),
-        _pack_u32(order),
-        _pack_u32(obj_rank),
-        _pack_u32(pes_rank),
-        _pack_u32(sorted_ptr_ts),
-        _pack_u32(sorted_ptr_id),
-        _pack_u32(slab_breaks),
-        _pack_u32(slab_offsets),
-        _pack_u32(ent_y1),
-        _pack_u32(ent_y2),
-        bytes(ent_flags),
-        _pack_u32(c1_offsets),
-        _pack_u32(c1_x1),
-        _pack_u32(c1_x2),
-    ]
+
+def build_flat_sections(pointer_ts: List[int], object_ts: List[int],
+                        rects: Sequence[Tuple[object, bool]]):
+    """The flat counts and section payloads for one Pestrie.
+
+    ``pointer_ts`` uses the raw :data:`~repro.core.encoder.ABSENT` sentinel;
+    ``rects`` are ``(rect, case1)`` pairs in on-disk decode order.  Returns
+    ``((n_tracked, n_slabs, n_entries, n_c1), [section_bytes...])`` with the
+    sections in :data:`~repro.core.decoder.FLAT_SECTION_NAMES` order.
+    """
+    columns = _timestamp_columns(pointer_ts, object_ts)
+    columns += _rect_columns(object_ts, rects)
+    counts = (len(columns[4]), len(columns[6]), len(columns[8]), len(columns[12]))
+    sections = [bytes(values) if name == "ent_flags" else _pack_u32(values)
+                for name, values in zip(FLAT_SECTION_NAMES, columns)]
     return counts, sections
 
 
@@ -172,103 +181,162 @@ def build_flat_sections(pointer_ts: List[int], object_ts: List[int],
 # Query-time engine
 # ----------------------------------------------------------------------
 
-def flat_supported(container) -> bool:
-    """Whether ``container`` can be served by a :class:`FlatIndex`.
+def _u32_view(values: Sequence[int]) -> memoryview:
+    return memoryview(array("I", values))
 
-    Requires a ``PESTRIE4`` image and a little-endian host (the flat
-    sections are read through native ``memoryview.cast`` windows; on the
-    rare big-endian host the classic materialising path takes over).
+
+def _ascending(values: List[int], strict: bool) -> bool:
+    return all(map(lt if strict else le, values, islice(values, 1, None)))
+
+
+def _below(values, limit: int) -> bool:
+    return not values or max(values) < limit
+
+
+#: Maps byte 0xFF to 1 and every other byte to 0.
+_FF_FLAGS = bytes(int(byte == 0xFF) for byte in range(256))
+
+
+def _absent_mask(view: memoryview) -> int:
+    """A bit set with one byte-aligned bit per ``ABSENT`` word of ``view``.
+
+    A ``uint32`` word is ``ABSENT`` exactly when all four of its bytes are
+    0xFF, so the mask ANDs the four byte lanes; it never builds a Python
+    int per word.
     """
-    return getattr(container, "version", 0) == 4 and sys.byteorder == "little"
-
-
-def index_for_container(container, mode: str = "ptlist"):
-    """The right lazy index for ``container``: flat when possible.
-
-    ``PESTRIE4`` containers asked for the default ``ptlist`` structure get
-    a zero-copy :class:`FlatIndex`; everything else (legacy versions,
-    ``segment`` mode, big-endian hosts) falls back to the materialising
-    :class:`~repro.core.query.PestrieIndex`.
-    """
-    from .query import PestrieIndex  # deferred: query is layered above flat
-
-    if mode == "ptlist" and flat_supported(container):
-        return FlatIndex(container)
-    return PestrieIndex.from_container(container, mode=mode)
+    flags = view.tobytes().translate(_FF_FLAGS)
+    mask = -1
+    for lane in range(4):
+        mask &= int.from_bytes(flags[lane::4], "little")
+    return mask
 
 
 class FlatIndex:
-    """Table 1 queries served directly from a mapped ``PESTRIE4`` image.
+    """Table 1 queries over the flat columns of one Pestrie.
 
-    Construction takes ``memoryview`` casts over the container's flat
-    sections and reads nothing else; the first query pays a one-time
-    structural check of the offset tables (O(slabs + objects), no object
-    rebuild), after which every query is pure ``bisect``/indexing over the
-    mapped arrays.  The public surface matches
-    :class:`~repro.core.query.PestrieIndex`, so overlays, shards and the
-    alias service compose over it unchanged.
+    ``FlatIndex(container)`` is lazy for every format: construction reads
+    the container's header (and, for ``PESTRIE4``, takes zero-copy casts
+    over the flat sections); the first query pays a one-time structural
+    check of the mapped tables or the derivation of the columns.
+    :meth:`load` forces that work up front — the eager loaders call it on
+    bytes the index owns — and :meth:`from_payload` builds an index from an
+    in-memory payload.
 
-    The container must stay open for the index's lifetime — there is no
-    materialised copy to fall back on.  :meth:`close` releases the views
-    and closes the container; queries afterwards raise
-    :class:`~repro.store.ContainerClosedError`.
+    A lazy index needs its container open for its whole lifetime.
+    :meth:`close` releases the views and closes the container; queries
+    afterwards raise :class:`~repro.store.ContainerClosedError`.
     """
 
-    mode = "flat"
-
     def __init__(self, container):
-        if getattr(container, "version", 0) != 4:
-            raise ValueError(
-                "FlatIndex needs a PESTRIE4 container (file is format v%d)"
-                % getattr(container, "version", 0)
-            )
+        self._setup(container.n_pointers, container.n_objects, container.n_groups)
         self._container = container
+        self._rect_list = container.rects
+        self._mapped = container.version == 4
+        if self._mapped:
+            (self._n_tracked, self._n_slabs,
+             self._n_entries, self._n_c1) = container.flat_counts
+            self._ptr_ts = self._cast(container.section_view(0))
+            self._obj_ts = self._cast(container.section_view(1))
+            flat = [container.flat_view(i) for i in range(N_FLAT_SECTIONS)]
+            (self._origin_ts, self._origin_obj, self._obj_rank, self._pes_rank,
+             self._sorted_ptr_ts, self._sorted_ptr_id, self._slab_breaks,
+             self._slab_offsets, self._ent_y1, self._ent_y2) = (
+                self._cast(view) for view in flat[:10]
+            )
+            self._ent_flags = self._track(flat[10])
+            self._c1_offsets, self._c1_x1, self._c1_x2 = (
+                self._cast(view) for view in flat[11:]
+            )
+        else:
+            self._timestamps = self._container_timestamps
+
+    @classmethod
+    def from_payload(cls, payload: PestriePayload) -> "FlatIndex":
+        """A fully built index over a decoded or hand-built payload.
+
+        The payload is validated first, so malformed input raises
+        :class:`CorruptFileError`, never an error from the column build.
+        """
+        if not 0 <= payload.n_groups <= ABSENT:
+            raise CorruptFileError("group count %d outside the uint32 range"
+                                   % payload.n_groups)
+        if (len(payload.pointer_ts) != payload.n_pointers
+                or len(payload.object_ts) != payload.n_objects):
+            raise CorruptFileError("payload timestamp arrays disagree with its counts")
+        _validate(payload)
+        self = object.__new__(cls)
+        self._setup(payload.n_pointers, payload.n_objects, payload.n_groups)
+        self._container = None
+        self._mapped = False
+        self._rect_list = lambda: payload.rects
+        self._timestamps = lambda: (
+            [ABSENT if ts is None else ts for ts in payload.pointer_ts],
+            payload.object_ts,
+        )
+        return self.load()
+
+    def _setup(self, n_pointers: int, n_objects: int, n_groups: int) -> None:
         self._lock = threading.RLock()
         self._closed = False
-        self._validated = False
-        self.n_pointers = container.n_pointers
-        self.n_objects = container.n_objects
-        self.n_groups = container.n_groups
-        (self._n_tracked, self._n_slabs,
-         self._n_entries, self._n_c1) = container.flat_counts
-
+        self._ts_ready = False
+        self._rects_ready = False
+        self._owned = False
         self._views: List[memoryview] = []
-        self._ptr_ts = self._cast(container.section_view(0))
-        self._obj_ts = self._cast(container.section_view(1))
-        flat = [container.flat_view(i) for i in range(N_FLAT_SECTIONS)]
-        (self._origin_ts, self._origin_obj, self._obj_rank, self._pes_rank,
-         self._sorted_ptr_ts, self._sorted_ptr_id, self._slab_breaks,
-         self._slab_offsets, self._ent_y1, self._ent_y2) = (
-            self._cast(view) for view in flat[:10]
-        )
-        self._ent_flags = self._track(flat[10])
-        self._c1_offsets, self._c1_x1, self._c1_x2 = (
-            self._cast(view) for view in flat[11:]
-        )
+        self.n_pointers = n_pointers
+        self.n_objects = n_objects
+        self.n_groups = n_groups
+
+    def _container_timestamps(self):
+        self._container.timestamps()  # parses and validates both sections
+        return self._container.section_values(0), self._container.section_values(1)
 
     def _track(self, view: memoryview) -> memoryview:
         self._views.append(view)
         return view
 
     def _cast(self, view: memoryview) -> memoryview:
+        """A ``uint32`` window over little-endian section bytes."""
         self._track(view)
-        return self._track(view.cast("I"))
+        if sys.byteorder == "little":
+            return self._track(view.cast("I"))
+        words = array("I")
+        words.frombytes(view)
+        words.byteswap()
+        return self._track(memoryview(words))
 
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------
 
+    def load(self) -> "FlatIndex":
+        """Check or derive every column now, and keep them for good.
+
+        This is what the eager loaders return: an index over bytes it owns,
+        answering from then on without first-touch work.  Its :meth:`close`
+        is a no-op — there is nothing to release — so only call this on an
+        index whose container is not a file mapping you need to unmap.
+        """
+        self._ready()
+        self._owned = True
+        return self
+
     def close(self) -> None:
-        """Release every mapped view and close the backing container.
+        """Release every view and close the backing container, if any.
 
         Idempotent, and — unlike a naive ``closed`` flag — retryable: if
         the container refuses to unmap (``BufferError``, some caller still
         holds a view exported by the container itself), this index is
         already closed for queries (``ContainerClosedError``) but a later
         ``close()`` finishes the job once the last view is released.
+        Taking the lock makes a close wait for an in-flight first-touch
+        derivation instead of closing the container underneath it.  An
+        index returned by :meth:`load` owns its bytes; closing it is a no-op.
         """
+        if self._owned:
+            return
         with self._lock:
-            if self._closed and self._container.closed:
+            container = self._container
+            if self._closed and (container is None or container.closed):
                 return
             # Casts were appended after the byte views they wrap; release
             # them first so no view ever outlives its exporter.
@@ -278,46 +346,76 @@ class FlatIndex:
             # Mark closed before the container close: even if it raises,
             # our views are gone, so queries must fail cleanly from here on.
             self._closed = True
-            self._container.close()
+            if container is not None:
+                container.close()
 
-    def _ready(self) -> None:
-        if self._closed:
-            from ..store import ContainerClosedError
+    def _ready(self, rects: bool = True) -> None:
+        """Make the timestamp columns (and, by default, the rectangle
+        columns) answerable: validated when mapped, derived otherwise."""
+        if not self._closed and (self._rects_ready if rects else self._ts_ready):
+            return
+        with self._lock:
+            if self._closed:
+                from ..store import ContainerClosedError
 
-            raise ContainerClosedError("flat index is closed")
-        if not self._validated:
-            with self._lock:
-                if not self._validated:
+                raise ContainerClosedError("flat index is closed")
+            if self._mapped:
+                if not self._rects_ready:
                     self._validate()
-                    self._validated = True
+                    self._ts_ready = self._rects_ready = True
+                return
+            if not self._ts_ready:
+                pointer_ts, object_ts = self._timestamps()
+                columns = _timestamp_columns(pointer_ts, object_ts)
+                self._ptr_ts = self._track(_u32_view(pointer_ts))
+                self._obj_ts = self._track(_u32_view(object_ts))
+                (self._origin_ts, self._origin_obj, self._obj_rank, self._pes_rank,
+                 self._sorted_ptr_ts, self._sorted_ptr_id) = (
+                    self._track(_u32_view(values)) for values in columns
+                )
+                self._ts_ready = True
+            if rects and not self._rects_ready:
+                columns = _rect_columns(self._obj_ts, self._rect_list())
+                (self._slab_breaks, self._slab_offsets, self._ent_y1,
+                 self._ent_y2) = (self._track(_u32_view(values))
+                                  for values in columns[:4])
+                self._ent_flags = self._track(memoryview(bytes(columns[4])))
+                self._c1_offsets, self._c1_x1, self._c1_x2 = (
+                    self._track(_u32_view(values)) for values in columns[5:]
+                )
+                self._rects_ready = True
 
     def _validate(self) -> None:
-        """One-time structural check of the search invariants.
+        """One-time structural check of the mapped search invariants.
 
         The container already verified the CRC over the whole image, so
         this only has to reject *forged* images whose checksum is valid but
-        whose tables would send a binary search out of bounds or into a
-        silent wrong answer.
+        whose tables would send a binary search or an index out of bounds.
+        The checks run at C speed (``max``, ``map``) because they are most
+        of a cold ``PESTRIE4`` first answer.
         """
         origin_ts = self._origin_ts.tolist()
-        if any(b <= a for a, b in zip(origin_ts, origin_ts[1:])):
+        if not _ascending(origin_ts, strict=True):
             raise CorruptFileError("flat origin timestamps are not strictly increasing")
         if origin_ts and not origin_ts[-1] < self.n_groups:
             raise CorruptFileError("flat origin timestamp outside group range")
         for name, view in (("origin_obj", self._origin_obj),
                            ("obj_rank", self._obj_rank)):
-            if any(not value < self.n_objects for value in view.tolist()):
+            if not _below(view.tolist(), self.n_objects):
                 raise CorruptFileError("flat %s entry outside object range" % name)
-        if any(value != ABSENT and not value < self.n_objects
-               for value in self._pes_rank.tolist()):
+        ranks = set(self._pes_rank.tolist())
+        ranks.discard(ABSENT)
+        if not _below(ranks, self.n_objects):
             raise CorruptFileError("flat pes_rank entry outside object range")
-        sorted_ts = self._sorted_ptr_ts.tolist()
-        if any(b < a for a, b in zip(sorted_ts, sorted_ts[1:])):
+        if _absent_mask(self._pes_rank) != _absent_mask(self._ptr_ts):
+            raise CorruptFileError(
+                "flat pes_rank disagrees with the pointer timestamps on "
+                "which pointers are tracked")
+        if not _ascending(self._sorted_ptr_ts.tolist(), strict=False):
             raise CorruptFileError("flat sorted pointer timestamps are unsorted")
-        if any(not value < self.n_pointers for value in self._sorted_ptr_id.tolist()):
+        if not _below(self._sorted_ptr_id.tolist(), self.n_pointers):
             raise CorruptFileError("flat sorted pointer id outside pointer range")
-        breaks = self._slab_breaks.tolist()
-        if any(b <= a for a, b in zip(breaks, breaks[1:])):
+        if not _ascending(self._slab_breaks.tolist(), strict=True):
             raise CorruptFileError("flat slab breaks are not strictly increasing")
         for name, offsets, limit in (
             ("slab_offsets", self._slab_offsets.tolist(), self._n_entries),
@@ -325,7 +423,7 @@ class FlatIndex:
         ):
             if offsets[0] != 0 or offsets[-1] != limit:
                 raise CorruptFileError("flat %s table does not span its entries" % name)
-            if any(b < a for a, b in zip(offsets, offsets[1:])):
+            if not _ascending(offsets, strict=False):
                 raise CorruptFileError("flat %s table is not monotone" % name)
 
     # ------------------------------------------------------------------
@@ -377,7 +475,7 @@ class FlatIndex:
 
     def pes_of(self, pointer: int) -> Optional[int]:
         """The PES identifier (object id) of ``pointer``, if tracked."""
-        self._ready()
+        self._ready(rects=False)
         self._check_pointer(pointer)
         rank = self._pes_rank[pointer]
         return None if rank == ABSENT else self._origin_obj[rank]
@@ -388,7 +486,7 @@ class FlatIndex:
 
     def is_alias(self, p: int, q: int) -> bool:
         """Decide whether pointers ``p`` and ``q`` may alias — O(log n)."""
-        self._ready()
+        self._ready(rects=False)
         self._check_pointer(p)
         self._check_pointer(q)
         ts_p = self._ptr_ts[p]
@@ -399,11 +497,12 @@ class FlatIndex:
             return True
         if self._pes_rank[p] == self._pes_rank[q]:
             return True  # internal pair
+        self._ready()
         return self._covers(*((ts_p, ts_q) if ts_p < ts_q else (ts_q, ts_p)))
 
     def is_alias_batch(self, pairs: Sequence[Tuple[int, int]]) -> List[bool]:
         """Answer many IsAlias queries, amortising the slab lookups."""
-        self._ready()
+        self._ready(rects=False)
         results = [False] * len(pairs)
         jobs: List[Tuple[int, int, int]] = []
         for position, (p, q) in enumerate(pairs):
@@ -418,6 +517,9 @@ class FlatIndex:
                 continue
             x, y = (ts_p, ts_q) if ts_p < ts_q else (ts_q, ts_p)
             jobs.append((x, y, position))
+        if not jobs:
+            return results
+        self._ready()
         jobs.sort()
         ent_y1, ent_y2 = self._ent_y1, self._ent_y2
         column, lo, hi = -1, 0, 0
@@ -431,7 +533,7 @@ class FlatIndex:
 
     def column_of(self, pointer: int) -> Optional[int]:
         """The ptList column (pre-order timestamp) of ``pointer``."""
-        self._ready()
+        self._ready(rects=False)
         self._check_pointer(pointer)
         ts = self._ptr_ts[pointer]
         return None if ts == ABSENT else ts
@@ -455,7 +557,14 @@ class FlatIndex:
         return result
 
     def points_to_contains(self, p: int, obj: int) -> bool:
-        """Membership test ``obj ∈ points-to(p)`` in O(log n)."""
+        """Membership test ``obj ∈ points-to(p)`` in O(log n).
+
+        ``p`` points to ``obj`` iff ``obj`` is ``p``'s own PES object or a
+        Case-1 span of ``obj`` covers ``p``'s column; the per-object spans
+        are sorted and disjoint, so one predecessor search decides the
+        latter.  This is the primitive the delta overlay uses to normalise
+        edits against the immutable base.
+        """
         self._ready()
         self._check_pointer(p)
         self._check_object(obj)
@@ -498,10 +607,10 @@ class FlatIndex:
     def iter_alias_pairs(self):
         """Yield every unordered alias pair ``(p, q)`` with ``p < q`` once.
 
-        Internal pairs stream from the flat PES blocks; cross pairs need the
-        raw rectangle table, which is the one structure the flat layout does
-        not duplicate — the container materialises it on first use (bulk
-        enumeration is not a zero-copy path).
+        Internal pairs stream from the PES blocks; cross pairs come straight
+        from the stored rectangles (pairwise disjoint, so no pair repeats),
+        which a container parses on first use.  This is the bulk route for
+        whole-program clients — no per-pointer query loop.
         """
         self._ready()
         for rank in range(self.n_objects):
@@ -511,7 +620,7 @@ class FlatIndex:
                 for j in range(i + 1, len(members)):
                     p, q = members[i], members[j]
                     yield (p, q) if p < q else (q, p)
-        for rect, _case1 in self._container.rects():
+        for rect, _case1 in self._rect_list():
             x_members = self._pointers_in_range(rect.x1, rect.x2)
             y_members = self._pointers_in_range(rect.y1, rect.y2)
             for p in x_members:
@@ -523,20 +632,30 @@ class FlatIndex:
     # ------------------------------------------------------------------
 
     def materialize(self) -> PointsToMatrix:
-        """Recover the full points-to matrix ``PM`` from the flat sections."""
+        """Recover the full points-to matrix ``PM`` from the columns."""
+        self._ready()  # a corrupt header count fails here, before the allocation
         matrix = PointsToMatrix(self.n_pointers, self.n_objects)
         for pointer in range(self.n_pointers):
             for obj in self.list_points_to(pointer):
                 matrix.add(pointer, obj)
         return matrix
 
-    def memory_footprint(self) -> int:
-        """Bytes of mapped sections the queries read (no heap structures).
+    def stored_entries(self) -> int:
+        """Rectangle entries the ptList stores: one per slab it stabs.
 
-        This is the flat layout's Table 7 story: the query structure *is*
-        the file, so the footprint is the mapped section bytes — shared
-        read-only across processes — rather than per-process heap.
+        Table 7's memory trade against a segment tree, which stores each
+        rectangle once, is compared in this unit.
         """
+        self._ready()
+        return len(self._ent_y1)
+
+    def memory_footprint(self) -> int:
+        """Bytes of column data the queries read (Table 7's memory column).
+
+        Mapped ``PESTRIE4`` columns are file pages shared read-only across
+        processes; derived columns are packed arrays the index owns.
+        """
+        self._ready()
         total = self._ptr_ts.nbytes + self._obj_ts.nbytes + self._ent_flags.nbytes
         for view in (self._origin_ts, self._origin_obj, self._obj_rank,
                      self._pes_rank, self._sorted_ptr_ts, self._sorted_ptr_id,
@@ -546,14 +665,10 @@ class FlatIndex:
         return total
 
 
-# Referenced by the container for byte accounting; re-exported here so the
-# flat layout's writer and reader share one definition of the size table.
 __all__ = [
     "FLAT_CASE1",
     "FLAT_MIRRORED",
     "FlatIndex",
     "N_FLAT_SECTIONS",
     "build_flat_sections",
-    "flat_supported",
-    "index_for_container",
 ]

@@ -14,10 +14,9 @@ The persistence contract has exactly two legal outcomes for any input:
 For ``PESTRIE3`` and ``PESTRIE4`` the contract is strictly stronger: the
 CRC32 trailer means *any* effective mutation must be rejected.  ``PESTRIE4``
 cases additionally target the flat query sections specifically (they sit
-behind the classic sections, so untargeted mutants rarely land there) and
-check the zero-copy :class:`~repro.core.flat.FlatIndex` against the eager
-decoder on every Table 1 query — corruption must surface as
-:class:`CorruptFileError` at open or first touch, never as a wrong answer.
+behind the classic sections, so untargeted mutants rarely land there).
+Every clean case, of every version, checks each Table 1 query of a lazily
+opened :class:`~repro.core.flat.FlatIndex` against the source matrix.
 
 Delta-bearing images (a ``PESTRIE3`` base followed by appended DELTA
 records, see :mod:`repro.delta`) are fuzzed too.  Their clean contract:
@@ -31,13 +30,15 @@ survival, since truncating exactly at a record boundary is
 indistinguishable from a shorter (valid) chain.  A decode to anything
 else is a wrong answer, and a failure.
 
-Every mutant is additionally decoded through the lazy storage layer
-(:class:`~repro.store.Container` + deferred section materialisation).  The
-lazy path must mirror the eager verdict exactly: corruption in a lazily
-parsed section surfaces as :class:`CorruptFileError` at open or at first
-materialisation — never a wrong answer, never an uncontrolled exception —
-and a mutant the eager decoder legally accepts must produce the identical
-matrix.
+Every mutant is additionally opened as an index, eagerly (columns built
+from bytes the index owns) and lazily (through a
+:class:`~repro.store.Container`, columns at first touch).  Both must
+mirror the decoder's verdict exactly: corruption surfaces as
+:class:`CorruptFileError` at open or at first materialisation — never a
+wrong answer, never an uncontrolled exception — and a mutant the decoder
+legally accepts must materialise to the matrix its payload encodes,
+expanded directly from the PES blocks and Case-1 rectangles rather than
+through a second engine.
 
 Run it as a module::
 
@@ -54,6 +55,7 @@ import argparse
 import random
 import struct
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,7 +71,7 @@ MUTATIONS = ("bit_flip", "byte_set", "truncate", "extend", "splice_count")
 #: decode itself is still required to be clean.
 _INDEX_GROUP_LIMIT = 100_000
 
-#: Sentinel for an eager verdict that leaves nothing for the lazy path to
+#: Sentinel for a decoder verdict that leaves nothing for the index to
 #: mirror (a failure was already recorded, or the index is too large).
 _SKIP = object()
 
@@ -228,68 +230,82 @@ def _check_parallel(case: int, version: int, compact: bool, order: str,
     report.parallel_checks += 1
 
 
-def _check_flat_clean(case: int, matrix: PointsToMatrix, data: bytes,
-                      report: FuzzReport) -> None:
-    """The flat engine must answer every Table 1 query like the eager index."""
-    from ..store import Container
-    from .flat import FlatIndex
-
+def _check_flat_clean(case: int, version: int, matrix: PointsToMatrix,
+                      data: bytes, report: FuzzReport) -> None:
+    """A lazily opened index must answer every Table 1 query like ``matrix``."""
     try:
-        eager = index_from_bytes(data)
-        flat = FlatIndex(Container.from_bytes(data, allow_tail=False))
+        index = index_from_bytes(data, lazy=True)
     except Exception as error:  # noqa: BLE001 — any exception here is a bug
-        report.failures.append(FuzzFailure(case, 4, None,
-                                           "clean flat open failed: %r" % (error,)))
+        report.failures.append(FuzzFailure(case, version, None,
+                                           "clean lazy open failed: %r" % (error,)))
         return
     try:
-        if flat.materialize() != matrix:
-            report.failures.append(FuzzFailure(case, 4, None,
-                                               "flat materialise differs from input"))
-            return
-        pointers = range(flat.n_pointers)
+        pointers = range(index.n_pointers)
         pairs = [(p, q) for p in pointers for q in pointers]
-        if flat.is_alias_batch(pairs) != eager.is_alias_batch(pairs):
-            report.failures.append(FuzzFailure(case, 4, None,
-                                               "flat is_alias_batch disagrees with eager"))
+        if index.is_alias_batch(pairs) != [matrix.is_alias(p, q) for p, q in pairs]:
+            report.failures.append(FuzzFailure(case, version, None,
+                                               "is_alias_batch disagrees with the matrix"))
             return
         for p in pointers:
-            if (flat.is_alias(p, (p * 7 + 3) % flat.n_pointers)
-                    != eager.is_alias(p, (p * 7 + 3) % flat.n_pointers)
-                    or flat.list_points_to(p) != eager.list_points_to(p)
-                    or flat.list_aliases(p) != eager.list_aliases(p)
-                    or flat.pes_of(p) != eager.pes_of(p)
-                    or flat.column_of(p) != eager.column_of(p)):
-                report.failures.append(FuzzFailure(case, 4, None,
-                    "flat pointer query disagrees with eager at p=%d" % p))
+            q = (p * 7 + 3) % index.n_pointers
+            if (index.is_alias(p, q) != matrix.is_alias(p, q)
+                    or sorted(index.list_points_to(p)) != matrix.list_points_to(p)
+                    or sorted(index.list_aliases(p)) != matrix.list_aliases(p)):
+                report.failures.append(FuzzFailure(case, version, None,
+                    "pointer query disagrees with the matrix at p=%d" % p))
                 return
-        for obj in range(flat.n_objects):
-            if flat.list_pointed_by(obj) != eager.list_pointed_by(obj):
-                report.failures.append(FuzzFailure(case, 4, None,
-                    "flat list_pointed_by disagrees with eager at obj=%d" % obj))
+        for obj in range(index.n_objects):
+            if sorted(index.list_pointed_by(obj)) != matrix.list_pointed_by(obj):
+                report.failures.append(FuzzFailure(case, version, None,
+                    "list_pointed_by disagrees with the matrix at obj=%d" % obj))
                 return
         report.flat_checks += 1
     except Exception as error:  # noqa: BLE001 — uncontrolled escape
-        report.failures.append(FuzzFailure(case, 4, None,
-                                           "flat query crashed: %r" % (error,)))
+        report.failures.append(FuzzFailure(case, version, None,
+                                           "lazy query crashed: %r" % (error,)))
     finally:
-        flat.close()
+        index.close()
+
+
+def _payload_matrix(payload) -> PointsToMatrix:
+    """The matrix a validated payload encodes, expanded without an index.
+
+    A tracked pointer points to the object whose origin timestamp is the
+    greatest one at or below its own (its PES), plus the object at ``y1``
+    of every Case-1 rectangle whose x-range holds its timestamp.
+    """
+    origins = sorted((ts, obj) for obj, ts in enumerate(payload.object_ts))
+    origin_ts = [ts for ts, _obj in origins]
+    object_at = dict(origins)
+    case1 = [(rect.x1, rect.x2, object_at[rect.y1])
+             for rect, is_case1 in payload.rects if is_case1]
+    matrix = PointsToMatrix(payload.n_pointers, payload.n_objects)
+    for pointer, ts in enumerate(payload.pointer_ts):
+        if ts is None:
+            continue
+        matrix.add(pointer, origins[bisect_right(origin_ts, ts) - 1][1])
+        for x1, x2, obj in case1:
+            if x1 <= ts <= x2:
+                matrix.add(pointer, obj)
+    return matrix
 
 
 def _check_mutant(case: int, version: int, kind: str, mutated: bytes,
                   report: FuzzReport) -> None:
     report.corruptions += 1
-    eager = _eager_outcome(case, version, kind, mutated, report)
-    if eager is not _SKIP:
-        _check_lazy_mutant(case, version, kind, mutated, eager, report)
+    reference = _decoded_outcome(case, version, kind, mutated, report)
+    if reference is not _SKIP:
+        _check_index_mutant(case, version, kind, mutated, reference, report)
 
 
-def _eager_outcome(case: int, version: int, kind: str, mutated: bytes,
-                   report: FuzzReport):
-    """The eager decoder's verdict on ``mutated``.
+def _decoded_outcome(case: int, version: int, kind: str, mutated: bytes,
+                     report: FuzzReport):
+    """The decoder's verdict on ``mutated``: the reference for the index.
 
     Returns ``None`` when the bytes were rejected with
-    :class:`CorruptFileError`, the materialised matrix when they survived,
-    or :data:`_SKIP` when there is nothing for the lazy path to mirror.
+    :class:`CorruptFileError`, the payload's matrix (expanded directly, no
+    index) when they survived, or :data:`_SKIP` when there is nothing for
+    the index to mirror.
     """
     try:
         payload = decode_bytes(mutated)
@@ -306,64 +322,48 @@ def _eager_outcome(case: int, version: int, kind: str, mutated: bytes,
                                            "PESTRIE%d accepted corrupted bytes" % version))
         return _SKIP
     # Legacy formats may accept a mutation that happens to stay inside the
-    # format invariants; the payload must then build a queryable index
-    # without an uncontrolled crash.
+    # format invariants; the index must then answer as the payload does.
     report.survived += 1
     if payload.n_groups > _INDEX_GROUP_LIMIT:
         return _SKIP
-    try:
-        return index_from_bytes(mutated).materialize()
-    except CorruptFileError:
-        report.rejected += 1
-        return None
-    except Exception as error:  # noqa: BLE001
-        report.failures.append(FuzzFailure(case, version, kind,
-                                           "index build crashed: %r" % (error,)))
-        return _SKIP
+    return _payload_matrix(payload)
 
 
-def _check_lazy_mutant(case: int, version: int, kind: str, mutated: bytes,
-                       eager, report: FuzzReport) -> None:
-    """The lazy storage path must mirror the eager verdict on ``mutated``.
+def _check_index_mutant(case: int, version: int, kind: str, mutated: bytes,
+                        reference, report: FuzzReport) -> None:
+    """Eager and lazy index opens must mirror the decoder's verdict.
 
-    Corruption in a lazily parsed section must surface as
-    :class:`CorruptFileError` at open or at first materialisation; a mutant
-    the eager decoder accepted must produce the identical matrix.
+    The eager open builds every column from bytes it owns; the lazy one
+    reads through a container and builds at first touch.  Either way
+    corruption surfaces as :class:`CorruptFileError` — at open or at the
+    first query — and a mutant the decoder accepted must materialise to
+    exactly the payload's matrix.
     """
-    from ..store import Container
-    from .flat import FlatIndex, index_for_container
-
     report.lazy_checks += 1
-    container = None
-    try:
-        container = Container.from_bytes(mutated, allow_tail=False)
-        index = index_for_container(container)
-        # Touch every lazily parsed structure: a query pattern that skips a
-        # section legally never sees its corruption, so the parity check
-        # must force full materialisation the way the eager decoder does.
-        # The flat engine validates every flat section before its first
-        # answer, so materialize() alone covers it.
-        if not isinstance(index, FlatIndex):
-            index._rects  # noqa: B018 — forces timestamps + all rectangle sections
-        recovered = index.materialize()
-    except CorruptFileError:
-        if eager is not None:
+    for lazy in (False, True):
+        label = "lazy" if lazy else "eager"
+        index = None
+        try:
+            index = index_from_bytes(mutated, lazy=lazy)
+            recovered = index.materialize()
+        except CorruptFileError:
+            if reference is not None:
+                report.failures.append(FuzzFailure(case, version, kind,
+                    "%s index rejected bytes the decoder accepted" % label))
+            continue
+        except Exception as error:  # noqa: BLE001 — uncontrolled escape
             report.failures.append(FuzzFailure(case, version, kind,
-                "lazy decode rejected bytes the eager decoder accepted"))
-        return
-    except Exception as error:  # noqa: BLE001 — uncontrolled escape
-        report.failures.append(FuzzFailure(case, version, kind,
-                                           "lazy path uncontrolled exception %r" % (error,)))
-        return
-    finally:
-        if container is not None:
-            container.close()
-    if eager is None:
-        report.failures.append(FuzzFailure(case, version, kind,
-            "lazy decode accepted bytes the eager decoder rejected"))
-    elif recovered != eager:
-        report.failures.append(FuzzFailure(case, version, kind,
-            "lazy decode disagrees with the eager answer"))
+                "%s index uncontrolled exception %r" % (label, error)))
+            continue
+        finally:
+            if index is not None:
+                index.close()
+        if reference is None:
+            report.failures.append(FuzzFailure(case, version, kind,
+                "%s index accepted bytes the decoder rejected" % label))
+        elif recovered != reference:
+            report.failures.append(FuzzFailure(case, version, kind,
+                "%s index disagrees with the decoded payload" % label))
 
 
 def _random_edits(rng: random.Random, matrix: PointsToMatrix):
@@ -741,10 +741,11 @@ def run_fuzz(iterations: int = 500, seed: int = 0, mutants_per_case: int = 3,
                 continue  # the mutation was a no-op; nothing to assert
             _check_mutant(case, version, kind, mutated, report)
 
+        # Every Table 1 query of a lazy open against the source matrix.
+        _check_flat_clean(case, version, matrix, data, report)
         if version == 4:
-            # Flat-engine parity on the clean file, plus mutants aimed at
-            # the flat sections (generic mutants mostly land in front).
-            _check_flat_clean(case, matrix, data, report)
+            # Mutants aimed at the flat sections (generic mutants mostly
+            # land in front of them).
             with Container.from_bytes(data) as container:
                 flat_start = container.flat_range[0]
             for _ in range(mutants_per_case):

@@ -2,7 +2,7 @@
 
 The Section 6 transforms produce matrices whose rows are *derived* pointers
 (``p_l``, ``p_c``, ``p|predicate``).  ``NamedIndex`` binds those name
-tables to a :class:`PestrieIndex` so clients can ask questions in source
+tables to a :class:`FlatIndex` so clients can ask questions in source
 terms, including the constrained forms the paper mentions —
 ``ListPointsTo(c, p)`` is just ``list_points_to("f[c]::p")`` here — and
 stem-level questions that aggregate over all versions of a variable.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from .query import PestrieIndex
+from .flat import FlatIndex
 
 if TYPE_CHECKING:  # avoid a core -> analysis import cycle at runtime
     from ..analysis.transform import NamedMatrix
@@ -23,7 +23,7 @@ class NamedIndex:
 
     def __init__(
         self,
-        index: PestrieIndex,
+        index: FlatIndex,
         pointer_index: Dict[str, int],
         object_index: Dict[str, int],
     ):
@@ -37,7 +37,7 @@ class NamedIndex:
             self._stems.setdefault(stem_of(name), []).append(row)
 
     @classmethod
-    def over(cls, named: "NamedMatrix", index: PestrieIndex) -> "NamedIndex":
+    def over(cls, named: "NamedMatrix", index: FlatIndex) -> "NamedIndex":
         return cls(index, named.pointer_index, named.object_index)
 
     # ------------------------------------------------------------------

@@ -12,10 +12,10 @@ from typing import Optional, Sequence
 
 from ..matrix.points_to import PointsToMatrix
 from ..obs import trace
-from .decoder import decode_bytes, load_payload
+from .decoder import _instrumented_decode
 from .encoder import DEFAULT_VERSION
+from .flat import FlatIndex
 from .ioutil import atomic_write
-from .query import PestrieIndex
 from .stages import run_pipeline
 
 
@@ -64,43 +64,44 @@ def persist(
             return len(payload)
 
 
-def index_from_bytes(data: bytes, mode: str = "ptlist",
-                     lazy: bool = False) -> PestrieIndex:
-    """Decode persistent-file bytes into a query index.
+def index_from_bytes(data: bytes, lazy: bool = False) -> FlatIndex:
+    """Open persistent-file bytes as a query index.
 
-    ``mode="segment"`` builds the low-memory segment-tree structure
-    instead of the per-column rectangle lists (see :class:`PestrieIndex`).
-    ``lazy=True`` validates only the container skeleton (header, table of
-    contents, CRC) and defers section parsing and structure builds to the
-    first query that needs them; on a ``PESTRIE4`` image the lazy path is
-    the zero-copy :class:`repro.core.flat.FlatIndex`, which never rebuilds
-    sections at all.
+    The index reads ``data`` through a :class:`repro.store.Container`
+    (no copy for ``bytes``).  ``lazy=True`` validates only the container
+    skeleton (header, table of contents, CRC) and leaves the column work —
+    checking mapped ``PESTRIE4`` columns, deriving them for older formats —
+    to the first query.  The default does that work before returning, as
+    an instrumented decode, so a corrupt section raises here.
     """
     from ..store import Container  # deferred: store builds on core
-    from .flat import index_for_container
 
     if lazy:
-        return index_for_container(
-            Container.from_bytes(data, allow_tail=False), mode=mode
-        )
-    payload = decode_bytes(data)
-    with trace.span("index.build", mode=mode):
-        return PestrieIndex(payload, mode=mode)
+        return FlatIndex(Container.from_bytes(data, allow_tail=False))
+
+    def supplier():
+        container = Container.from_bytes(data, allow_tail=False)
+        index = FlatIndex(container)
+        try:
+            return index.load(), sum(container.shape_counts)
+        except BaseException:
+            index.close()
+            raise
+
+    return _instrumented_decode(supplier, len(data))
 
 
-def load_index(path: str, mode: str = "ptlist", lazy: bool = False) -> PestrieIndex:
+def load_index(path: str, lazy: bool = False) -> FlatIndex:
     """Load a persistent file from disk into a query index.
 
-    Both flavours go through the mmap-backed store layer: eager loads
-    materialise everything before returning (and release the mapping);
-    ``lazy=True`` returns a cheap index whose structures build on first
-    query — call ``index.close()`` when done with it.
+    ``lazy=True`` maps the file and defers all column work to the first
+    query — call ``index.close()`` when done with it.  The default reads
+    the file into bytes the index owns and builds every column before
+    returning, so nothing stays mapped.
     """
     from ..store import open_index  # deferred: store builds on core
 
     if lazy:
-        return open_index(path, mode=mode)
-    payload = load_payload(path)
-    with trace.span("index.build", mode=mode):
-        return PestrieIndex(payload, mode=mode)
-
+        return open_index(path)
+    with open(path, "rb") as stream:
+        return index_from_bytes(stream.read())

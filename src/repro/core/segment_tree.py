@@ -1,8 +1,8 @@
 """Segment tree for rectangle point-enclosure queries (Section 3.4.1).
 
-The low-memory query structure of Table 7 (``PestrieIndex(mode="segment")``):
-an ``IsAlias`` question is a point-enclosure query over the stored
-rectangles.  The paper's structure: a segment tree over the x-axis
+The low-memory alternative of Table 7's query-memory trade
+(:class:`SegmentIndex`): an ``IsAlias`` question is a point-enclosure
+query over the stored rectangles.  The paper's structure: a segment tree over the x-axis
 ``[0, Ne)`` where every node owns the rectangles whose x-interval crosses
 its midline, kept sorted by their ``Y1`` coordinate.
 
@@ -15,6 +15,7 @@ with an ``O(log R)`` search at each: ``O(log² n)`` total.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -127,8 +128,6 @@ class SegmentTree:
         The stored :class:`Rect` objects themselves are not counted — the
         caller owns (and typically shares) them and counts them once.
         """
-        import sys
-
         total = 0
         stack = [self._root]
         while stack:
@@ -140,4 +139,55 @@ class SegmentTree:
                 stack.append(node.left)
             if node.right is not None:
                 stack.append(node.right)
+        return total
+
+
+class SegmentIndex:
+    """``IsAlias`` over one segment tree: the memory side of Table 7.
+
+    Section 4 keeps per-column rectangle lists (the ptList, served by
+    :class:`~repro.core.flat.FlatIndex`), where a rectangle is stored once
+    per slab its x-range stabs.  A single segment tree stores every
+    rectangle exactly once and answers ``is_alias`` in O(log² n) instead.
+    This class exists to measure that trade (``bench_ablation_query_mode``);
+    it is not a serving engine.  ``payload`` must be validated (decoded
+    payloads are).
+    """
+
+    def __init__(self, payload):
+        self.n_pointers = payload.n_pointers
+        origin_ts = sorted(payload.object_ts)
+        self._pointer_ts = list(payload.pointer_ts)
+        #: Origin rank of each tracked pointer's PES (``None`` if untracked).
+        self._pes_rank = [None if ts is None else bisect_right(origin_ts, ts) - 1
+                          for ts in self._pointer_ts]
+        self._rects = [rect for rect, _case1 in payload.rects]
+        self._tree = SegmentTree(payload.n_groups)
+        for rect in self._rects:
+            self._tree.insert(rect)
+
+    def is_alias(self, p: int, q: int) -> bool:
+        """Decide whether pointers ``p`` and ``q`` may alias — O(log² n)."""
+        for pointer in (p, q):
+            if not 0 <= pointer < self.n_pointers:
+                raise IndexError("pointer id %d out of range [0, %d)"
+                                 % (pointer, self.n_pointers))
+        ts_p, ts_q = self._pointer_ts[p], self._pointer_ts[q]
+        if ts_p is None or ts_q is None:
+            return False
+        if p == q or self._pes_rank[p] == self._pes_rank[q]:
+            return True
+        return self._tree.covers(min(ts_p, ts_q), max(ts_p, ts_q))
+
+    def stored_entries(self) -> int:
+        """Rectangle entries the tree stores: exactly one per rectangle."""
+        return len(self._tree)
+
+    def memory_footprint(self) -> int:
+        """Python heap bytes: tree nodes, rectangles and per-pointer arrays."""
+        total = self._tree.memory_footprint()
+        total += sys.getsizeof(self._rects)
+        total += sum(sys.getsizeof(rect) for rect in self._rects)
+        for values in (self._pointer_ts, self._pes_rank):
+            total += sys.getsizeof(values) + 28 * len(values)
         return total

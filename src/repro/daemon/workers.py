@@ -97,7 +97,6 @@ def run_daemon(service, socket_path: str, http_port: Optional[int] = None,
 def run_workers(paths: Sequence[str], socket_path: str, workers: int,
                 http_port: Optional[int] = None,
                 http_host: str = "127.0.0.1", *,
-                mode: str = "ptlist",
                 cache_size: int = 4096,
                 max_pending: int = DEFAULT_MAX_PENDING,
                 status_stream=None) -> int:
@@ -119,7 +118,7 @@ def run_workers(paths: Sequence[str], socket_path: str, workers: int,
     try:
         # Lazy open: only headers are decoded here, so the fork below
         # duplicates a tiny heap and the mapped index pages stay shared.
-        service = AliasService.from_files(list(paths), mode=mode, lazy=True,
+        service = AliasService.from_files(list(paths), lazy=True,
                                           cache_size=cache_size)
     except BaseException:
         sock.close()

@@ -5,7 +5,7 @@ points-to relation
 
     eff(p) = (base(p) − deleted(p)) ∪ inserted(p)
 
-without touching the persisted base: the base :class:`PestrieIndex` stays
+without touching the persisted base: the base :class:`FlatIndex` stays
 immutable (and shareable between overlay generations), and the delta is
 normalised into two small per-pointer sets.  Normalisation anchors every
 edit against the base with the O(log n) membership primitive
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.query import PestrieIndex
+from ..core.flat import FlatIndex
 from ..matrix.points_to import PointsToMatrix
 from ..obs import get_registry, trace
 from .log import DeltaLog
@@ -125,7 +125,7 @@ def _replace_rows(table: Dict[int, FrozenSet[int]], added: List[Fact],
 class OverlayIndex:
     """Table 1 queries over an immutable base index plus a delta."""
 
-    def __init__(self, base: PestrieIndex, log: Optional[DeltaLog] = None):
+    def __init__(self, base: FlatIndex, log: Optional[DeltaLog] = None):
         self._base = base
         self.n_pointers = base.n_pointers
         self.n_objects = base.n_objects
@@ -202,12 +202,8 @@ class OverlayIndex:
     # ------------------------------------------------------------------
 
     @property
-    def base(self) -> PestrieIndex:
+    def base(self) -> FlatIndex:
         return self._base
-
-    @property
-    def mode(self) -> str:
-        return self._base.mode
 
     def close(self) -> None:
         """Release the base index's backing container, if it has one."""

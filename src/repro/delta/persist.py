@@ -28,8 +28,8 @@ from typing import Optional
 from ..core.decoder import CorruptFileError
 from ..core.ioutil import atomic_write
 from ..core.pipeline import encode
+from ..core.flat import FlatIndex
 from ..obs import get_flight_recorder, get_registry, record_delta_health, trace
-from ..core.query import PestrieIndex
 from .format import decode_record, encode_record
 from .log import DeltaLog
 from .overlay import DEFAULT_COMPACTION_RATIO, OverlayIndex
@@ -85,61 +85,61 @@ def tail_to_log(data: bytes) -> DeltaLog:
         return _records_to_log(container.tail_records())
 
 
-def _overlay_from_container(container, mode: str, lazy: bool) -> OverlayIndex:
-    from ..core.flat import index_for_container
+def _container_for(path: str, lazy: bool):
+    """Map ``path`` for a lazy load; read it into owned bytes for an eager one."""
+    from ..store import Container
 
-    _delta_container(container)
-    log = _records_to_log(container.tail_records())
     if lazy:
-        # PESTRIE4 bases get the zero-copy FlatIndex; the overlay composes
-        # over the public query surface, so the flat base needs no shims.
-        base = index_for_container(container, mode=mode)
-    else:
-        base = PestrieIndex(container.payload(), mode=mode)
-    return OverlayIndex(base, log)
+        return Container.open(path)
+    with open(path, "rb") as stream:
+        return Container.from_bytes(stream.read())
 
 
-def overlay_from_bytes(data: bytes, mode: str = "ptlist",
-                       lazy: bool = False) -> OverlayIndex:
+def _over_base(container, lazy: bool, wrap):
+    """``wrap(base, records)`` over a delta-capable container.
+
+    ``base`` is the container's :class:`FlatIndex` (columns built now unless
+    ``lazy``) and ``records`` its decoded DELTA chain.  On failure the index
+    — or, before it exists, the bare container — is closed.
+    """
+    owner = container
+    try:
+        _delta_container(container)
+        records = container.tail_records()
+        owner = base = FlatIndex(container)
+        return wrap(base if lazy else base.load(), records)
+    except BaseException:
+        owner.close()
+        raise
+
+
+def _overlay(base: FlatIndex, records) -> OverlayIndex:
+    return OverlayIndex(base, _records_to_log(records))
+
+
+def overlay_from_bytes(data: bytes, lazy: bool = False) -> OverlayIndex:
     """Decode a base-plus-delta image into a query-ready :class:`OverlayIndex`.
 
     A plain image (no trailing records) yields an overlay with an empty
     delta, so callers can use this unconditionally for ``PESTRIE3`` files.
-    The base CRC is verified exactly once, at container open.
+    The base CRC is verified exactly once, at container open; ``lazy=True``
+    defers the base columns to the first query.
     """
     from ..store import Container
 
-    container = Container.from_bytes(data)
-    try:
-        overlay = _overlay_from_container(container, mode, lazy)
-    except BaseException:
-        container.close()
-        raise
-    if not lazy:
-        container.close()
-    return overlay
+    return _over_base(Container.from_bytes(data), lazy, _overlay)
 
 
-def load_overlay(path: str, mode: str = "ptlist", lazy: bool = False) -> OverlayIndex:
+def load_overlay(path: str, lazy: bool = False) -> OverlayIndex:
     """Read a persistent file (with any DELTA tail) into an overlay index.
 
-    The file is mmap-ped through the store layer.  With ``lazy=True`` the
-    base index materialises per structure on first query (the delta edits
-    themselves are normalised up front); the mapping stays open — release
-    it with ``overlay.base.close()`` when done.  Eager loads release the
-    mapping before returning.
+    With ``lazy=True`` the file is mmap-ped and the base columns build on
+    first query (the delta edits themselves are normalised up front); the
+    mapping stays open — release it with ``overlay.close()`` when done.
+    Eager loads read the file into bytes the overlay owns and build the
+    base before returning.
     """
-    from ..store import Container
-
-    container = Container.open(path)
-    try:
-        overlay = _overlay_from_container(container, mode, lazy)
-    except BaseException:
-        container.close()
-        raise
-    if not lazy:
-        container.close()
-    return overlay
+    return _over_base(_container_for(path, lazy), lazy, _overlay)
 
 
 def append_delta(path: str, log: DeltaLog, compact: Optional[bool] = None,
@@ -180,6 +180,7 @@ def _append_delta(path: str, log: DeltaLog, compact: Optional[bool],
     from ..store import Container
 
     container = Container.open(path)
+    base = None
     try:
         # One container open = one CRC pass over the base; the parsed header
         # supplies the dimensions and the integer coding from here on.
@@ -230,7 +231,8 @@ def _append_delta(path: str, log: DeltaLog, compact: Optional[bool],
             combined.insert(pointer, obj)
         for pointer, obj in deletes:
             combined.delete(pointer, obj)
-        overlay = OverlayIndex(PestrieIndex(container.payload()), combined)
+        base = FlatIndex(container)
+        overlay = OverlayIndex(base, combined)
         ratio = overlay.delta_ratio()
         if not overlay.needs_compaction(auto_compact_ratio):
             size = container.append_tail(record)
@@ -243,13 +245,15 @@ def _append_delta(path: str, log: DeltaLog, compact: Optional[bool],
                 compacted=False,
             )
         base_version = container.version
-        container.close()  # release the mapping before the atomic replace
+        matrix = overlay.materialize()
+        base.close()  # release the mapping before the atomic replace
         # Preserve the base format: auto-compacting a PESTRIE4 file must not
         # silently downgrade it to v3 and lose the flat query sections.
         # The new epoch (the edit that tripped the threshold) becomes the
         # watermark: the compacted base *is* that version's state.
-        size = _compact_overlay(overlay, path, compact=compact,
-                                version=base_version, watermark=epoch)
+        size = _compact_matrix(matrix, overlay.delta_size(), path,
+                               compact=compact, version=base_version,
+                               watermark=epoch)
         return AppendResult(
             bytes_appended=size - old_size,
             file_size=size,
@@ -259,13 +263,15 @@ def _append_delta(path: str, log: DeltaLog, compact: Optional[bool],
             compacted=True,
         )
     finally:
+        if base is not None:
+            base.close()
         container.close()
 
 
-def _compact_overlay(overlay: OverlayIndex, path: str, order: str = "hub",
-                     compact: bool = False, version: int = 3,
-                     watermark: int = 0) -> int:
-    """Re-encode an overlay's effective matrix to ``path``; return the size.
+def _compact_matrix(matrix, net_ops: int, path: str, order: str = "hub",
+                    compact: bool = False, version: int = 3,
+                    watermark: int = 0) -> int:
+    """Re-encode an overlay's effective ``matrix`` to ``path``; return the size.
 
     With ``watermark`` set, a single empty epoch-stamped watermark record
     is written after the fresh base — in the *same* atomic replace, so no
@@ -273,9 +279,8 @@ def _compact_overlay(overlay: OverlayIndex, path: str, order: str = "hub",
     versions it folded away.
     """
     start = time.perf_counter()
-    with trace.span("delta.compact", path=path, net_ops=overlay.delta_size()):
-        data = encode(overlay.materialize(), order=order, compact=compact,
-                      version=version)
+    with trace.span("delta.compact", path=path, net_ops=net_ops):
+        data = encode(matrix, order=order, compact=compact, version=version)
         if watermark:
             data += encode_record((), (), compact=compact, epoch=watermark,
                                   watermark=True)
@@ -287,7 +292,7 @@ def _compact_overlay(overlay: OverlayIndex, path: str, order: str = "hub",
     registry.histogram("repro_delta_compact_seconds").observe(
         time.perf_counter() - start)
     get_flight_recorder().record(
-        "compaction", path=path, net_ops=overlay.delta_size(),
+        "compaction", path=path, net_ops=net_ops,
         bytes=size, watermark=watermark,
         seconds=round(time.perf_counter() - start, 6))
     return size
@@ -317,9 +322,13 @@ def compact_file(path: str, out: Optional[str] = None, order: str = "hub",
             version = container.version
         records = container.tail_records()
         head = records[-1].epoch if records else 0
-        overlay = _overlay_from_container(container, "ptlist", lazy=False)
-        size = _compact_overlay(overlay, out or path, order=order,
-                                compact=compact, version=version,
-                                watermark=head)
+        overlay = _over_base(container, True, _overlay)
+        try:
+            matrix = overlay.materialize()
+        finally:
+            overlay.close()
+    size = _compact_matrix(matrix, overlay.delta_size(), out or path,
+                           order=order, compact=compact, version=version,
+                           watermark=head)
     record_delta_health(0, net_ops=0, ratio=0.0)
     return size

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.query import PestrieIndex
+from ..core.flat import FlatIndex
 from .format import DeltaRecord, chain_floor
 from .log import DeltaLog
 from .overlay import OverlayIndex
@@ -61,7 +61,7 @@ class VersionedOverlay:
     see (reload to observe them).
     """
 
-    def __init__(self, base: PestrieIndex, records: Sequence[DeltaRecord]):
+    def __init__(self, base: FlatIndex, records: Sequence[DeltaRecord]):
         self._base = base
         self._floor = chain_floor(records)
         self._records: Tuple[DeltaRecord, ...] = tuple(
@@ -80,7 +80,7 @@ class VersionedOverlay:
     # ------------------------------------------------------------------
 
     @property
-    def base(self) -> PestrieIndex:
+    def base(self) -> FlatIndex:
         return self._base
 
     @property
@@ -218,58 +218,30 @@ class VersionedOverlay:
         return added, removed
 
 
-def _versioned_from_container(container, mode: str, lazy: bool) -> VersionedOverlay:
-    from ..core.flat import index_for_container
-
-    from .persist import _delta_container
-
-    _delta_container(container)
-    records = container.tail_records()
-    if lazy:
-        base = index_for_container(container, mode=mode)
-    else:
-        base = PestrieIndex(container.payload(), mode=mode)
-    return VersionedOverlay(base, records)
-
-
-def versions_from_bytes(data: bytes, mode: str = "ptlist",
-                        lazy: bool = False) -> VersionedOverlay:
+def versions_from_bytes(data: bytes, lazy: bool = False) -> VersionedOverlay:
     """Decode a base-plus-delta image into a :class:`VersionedOverlay`.
 
     The epoch chain is resolved and validated up front (a hostile tail
     dies here as :class:`~repro.core.decoder.CorruptFileError`); snapshot
-    materialisation is deferred to the first :meth:`~VersionedOverlay.as_of`.
+    materialisation is deferred to the first :meth:`~VersionedOverlay.as_of`,
+    and ``lazy=True`` also defers the base columns to the first query.
     """
     from ..store import Container
 
-    container = Container.from_bytes(data)
-    try:
-        versioned = _versioned_from_container(container, mode, lazy)
-    except BaseException:
-        container.close()
-        raise
-    if not lazy:
-        container.close()
-    return versioned
+    from .persist import _over_base
+
+    return _over_base(Container.from_bytes(data), lazy, VersionedOverlay)
 
 
-def load_versions(path: str, mode: str = "ptlist",
-                  lazy: bool = False) -> VersionedOverlay:
+def load_versions(path: str, lazy: bool = False) -> VersionedOverlay:
     """Open a persistent file (with any DELTA tail) for time-travel queries.
 
-    Mirrors :func:`repro.delta.load_overlay`: the file is mmap-ped through
-    the store layer, the base CRC and the whole record chain are verified
-    once, and ``lazy=True`` defers base materialisation to first query
-    (close with :meth:`VersionedOverlay.close` when done).
+    Mirrors :func:`repro.delta.load_overlay`: the base CRC and the whole
+    record chain are verified once; ``lazy=True`` maps the file and defers
+    the base columns to first query (close with
+    :meth:`VersionedOverlay.close` when done), while an eager load reads
+    the file into bytes the base index owns.
     """
-    from ..store import Container
+    from .persist import _container_for, _over_base
 
-    container = Container.open(path)
-    try:
-        versioned = _versioned_from_container(container, mode, lazy)
-    except BaseException:
-        container.close()
-        raise
-    if not lazy:
-        container.close()
-    return versioned
+    return _over_base(_container_for(path, lazy), lazy, VersionedOverlay)

@@ -2,7 +2,7 @@
 
 :class:`AliasService` fronts one or more loaded query indexes and is what
 a long-running process (an IDE daemon, a CI bot, an analysis server)
-should talk to instead of a raw :class:`PestrieIndex`:
+should talk to instead of a raw :class:`FlatIndex`:
 
 * **thread safety** — the underlying query structures are immutable after
   decode, and the service's own mutable state (result cache, statistics)
@@ -31,7 +31,7 @@ import time
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.query import PestrieIndex
+from ..core.flat import FlatIndex
 from ..delta import (
     DeltaLog,
     OverlayIndex,
@@ -75,7 +75,7 @@ class AliasService:
     """Serve Table 1 queries from one or more decoded Pestrie indexes.
 
     ``backend`` is anything speaking the Table 1 protocol — a
-    :class:`PestrieIndex`, a :class:`ShardedIndex`, or a compatible object
+    :class:`FlatIndex`, a :class:`ShardedIndex`, or a compatible object
     (its optional ``is_alias_batch`` / ``column_of`` methods are used when
     present).  Use the classmethods to build one from indexes or files.
     """
@@ -107,19 +107,19 @@ class AliasService:
         self._versioned: Optional[VersionedOverlay] = None
 
     @classmethod
-    def from_index(cls, index: PestrieIndex, **options) -> "AliasService":
+    def from_index(cls, index: FlatIndex, **options) -> "AliasService":
         return cls(index, **options)
 
     @classmethod
-    def from_indexes(cls, indexes: Sequence[PestrieIndex], **options) -> "AliasService":
+    def from_indexes(cls, indexes: Sequence[FlatIndex], **options) -> "AliasService":
         """Front several indexes, sharded by pointer-id range (stacked in order)."""
         if len(indexes) == 1:
             return cls(indexes[0], **options)
         return cls(ShardedIndex(indexes), **options)
 
     @classmethod
-    def from_files(cls, paths: Sequence[str], mode: str = "ptlist",
-                   lazy: bool = False, **options) -> "AliasService":
+    def from_files(cls, paths: Sequence[str], lazy: bool = False,
+                   **options) -> "AliasService":
         """Serve one or more persistent files (``lazy=True`` defers decode
         of each shard to the first query routed to it).
 
@@ -134,12 +134,12 @@ class AliasService:
         versioned: Optional[VersionedOverlay] = None
         if len(paths) == 1:
             if _is_delta_capable(paths[0]):
-                versioned = load_versions(paths[0], mode=mode, lazy=lazy)
+                versioned = load_versions(paths[0], lazy=lazy)
                 backend = versioned.head_overlay()
             else:
-                backend = load_index(paths[0], mode=mode, lazy=lazy)
+                backend = load_index(paths[0], lazy=lazy)
         else:
-            backend = ShardedIndex.from_files(paths, mode=mode, lazy=lazy)
+            backend = ShardedIndex.from_files(paths, lazy=lazy)
         try:
             service = cls(backend, **options)
             if versioned is not None:
@@ -290,8 +290,7 @@ class AliasService:
         if isinstance(backend, ShardedIndex):
             return backend.with_delta(log)
         if hasattr(backend, "points_to_contains"):
-            # Any Table 1 backend takes the generic overlay — PestrieIndex,
-            # the zero-copy FlatIndex (the daemon's lazy-v4 default), or a
+            # Any Table 1 backend takes the generic overlay — FlatIndex or a
             # compatible duck-typed index.
             return OverlayIndex(backend, log)
         raise TypeError(

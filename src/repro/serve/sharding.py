@@ -2,7 +2,7 @@
 
 A production deployment persists one Pestrie file per analysis unit (a
 library, a partition of a whole-program result) and serves them together.
-:class:`ShardedIndex` stacks several decoded :class:`PestrieIndex` objects
+:class:`ShardedIndex` stacks several decoded :class:`FlatIndex` objects
 into a single Table 1 backend: shard ``i`` serves the global pointer ids
 ``[offset_i, offset_i + n_pointers_i)`` while all shards share one object
 id universe.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.query import PestrieIndex
+from ..core.flat import FlatIndex
 from ..obs import get_registry
 
 _REGISTRY = get_registry()
@@ -33,14 +33,14 @@ class ShardedIndex:
     """Several pointer-id-range shards behind the Table 1 protocol.
 
     Shards are duck-typed: anything speaking the protocol fits, which is
-    how :meth:`with_delta` mixes pristine :class:`PestrieIndex` shards
+    how :meth:`with_delta` mixes pristine :class:`FlatIndex` shards
     with :class:`~repro.delta.OverlayIndex` ones after a live update.
     """
 
-    def __init__(self, indexes: Sequence[PestrieIndex]):
+    def __init__(self, indexes: Sequence[FlatIndex]):
         if not indexes:
             raise ValueError("a sharded index needs at least one shard")
-        self._indexes: List[PestrieIndex] = list(indexes)
+        self._indexes: List[FlatIndex] = list(indexes)
         self._offsets: List[int] = [0]
         for index in self._indexes:
             self._offsets.append(self._offsets[-1] + index.n_pointers)
@@ -48,7 +48,7 @@ class ShardedIndex:
         self.n_objects = max(index.n_objects for index in self._indexes)
 
     @classmethod
-    def from_files(cls, paths: Sequence[str], mode: str = "ptlist",
+    def from_files(cls, paths: Sequence[str],
                    lazy: bool = False) -> "ShardedIndex":
         """Serve several persistent files as one logical index.
 
@@ -59,10 +59,10 @@ class ShardedIndex:
         """
         from ..core.pipeline import load_index
 
-        indexes: List[PestrieIndex] = []
+        indexes: List[FlatIndex] = []
         try:
             for path in paths:
-                indexes.append(load_index(path, mode=mode, lazy=lazy))
+                indexes.append(load_index(path, lazy=lazy))
             # Constructed inside the guard: a constructor failure must
             # release the k opened mappings just like an open failure.
             return cls(indexes)
@@ -93,7 +93,7 @@ class ShardedIndex:
         return len(self._indexes)
 
     @property
-    def shards(self) -> Tuple[PestrieIndex, ...]:
+    def shards(self) -> Tuple[FlatIndex, ...]:
         return tuple(self._indexes)
 
     def shard_of(self, pointer: int) -> Tuple[int, int]:
@@ -115,7 +115,7 @@ class ShardedIndex:
     # Live updates
     # ------------------------------------------------------------------
 
-    def swap_shard(self, position: int, index: PestrieIndex) -> None:
+    def swap_shard(self, position: int, index: FlatIndex) -> None:
         """Replace one shard in place with an equivalent-dimension index.
 
         The replacement must serve the same pointer-id range (typically a

@@ -7,16 +7,14 @@ the access-layer semantics.
 
 * :func:`open_container` — map a file, validate the skeleton once, parse
   nothing else.
-* :func:`open_index` — a lazy query index: the zero-copy
-  :class:`~repro.core.flat.FlatIndex` for ``PESTRIE4`` files, otherwise a
-  :class:`~repro.core.query.PestrieIndex` whose structures materialise on
-  first query.
+* :func:`open_index` — a lazy :class:`~repro.core.flat.FlatIndex`: zero-copy
+  over a ``PESTRIE4`` file's flat sections, derived at first query from an
+  older file's sections.
 * :func:`open_blob` — a raw mapped blob for non-Pestrie formats (BitP).
 """
 
 from __future__ import annotations
 
-from ..core.query import PestrieIndex
 from .container import (
     SECTION_NAMES,
     Container,
@@ -40,23 +38,20 @@ def open_container(path: str, allow_tail: bool = True) -> Container:
     return Container.open(path, allow_tail=allow_tail)
 
 
-def open_index(path: str, mode: str = "ptlist"):
+def open_index(path: str):
     """Open ``path`` as a lazy query index; nothing is parsed until queried.
 
-    ``PESTRIE4`` files (on little-endian hosts, default ``ptlist`` mode) are
-    served by the zero-copy :class:`~repro.core.flat.FlatIndex`; everything
-    else gets a lazy :class:`~repro.core.query.PestrieIndex`.  Files
+    Every format is served by :class:`~repro.core.flat.FlatIndex`.  Files
     carrying appended DELTA records are rejected (serving the base while
     silently ignoring the tail would return pre-update answers) — load
     those with ``repro.delta.load_overlay(path, lazy=True)``.  Call
-    ``index.close()`` (or keep the container from :func:`open_container`
-    and close that) once the needed structures have materialised.
+    ``index.close()`` when done; it releases the mapping.
     """
-    from ..core.flat import index_for_container
+    from ..core.flat import FlatIndex
 
     container = Container.open(path, allow_tail=False)
     try:
-        return index_for_container(container, mode=mode)
+        return FlatIndex(container)
     except BaseException:
         container.close()
         raise

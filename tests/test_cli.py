@@ -173,11 +173,6 @@ class TestServeStats:
         assert "2 shard(s), 14 pointers, 5 objects" in captured
         assert "0.0% hit rate" in captured
 
-    def test_segment_mode(self, pes_file, capsys):
-        assert main(["serve-stats", pes_file, "--queries", "100",
-                     "--mode", "segment"]) == 0
-        assert "replayed 100 queries" in capsys.readouterr().out
-
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["serve-stats", str(tmp_path / "nope.pes")]) == 1
         assert "error" in capsys.readouterr().err
@@ -266,18 +261,17 @@ class TestAnalyzeAndBench:
         assert "bdd" not in capsys.readouterr().out
 
 
-class TestQueryModes:
-    @pytest.fixture
-    def pes_file(self, pm_file, tmp_path):
-        out = str(tmp_path / "paper.pes")
-        main(["encode", pm_file, out])
-        return out
-
-    def test_segment_mode_agrees(self, pes_file, capsys):
-        assert main(["query", pes_file, "list_aliases", "1"]) == 0
-        ptlist_out = capsys.readouterr().out
-        assert main(["query", pes_file, "list_aliases", "1", "--mode", "segment"]) == 0
-        assert capsys.readouterr().out == ptlist_out
+class TestQueryFormats:
+    def test_every_format_agrees(self, pm_file, tmp_path, capsys):
+        """One engine answers every format version identically."""
+        answers = set()
+        for version in ("1", "2", "3", "4"):
+            out = str(tmp_path / ("paper.v%s.pes" % version))
+            assert main(["encode", pm_file, out, "--format-version", version]) == 0
+            capsys.readouterr()
+            assert main(["query", out, "list_aliases", "1"]) == 0
+            answers.add(capsys.readouterr().out)
+        assert len(answers) == 1
 
 
 class TestQueryExplain:

@@ -2,7 +2,7 @@
 
 The single invariant under test: for any base matrix and any edit script,
 an :class:`OverlayIndex` over the *base* encoding answers all four Table 1
-queries identically to a :class:`PestrieIndex` built from a *full
+queries identically to a :class:`FlatIndex` built from a *full
 re-encode* of the edited matrix.  Hypothesis explores (matrix, script)
 space adversarially; a deterministic seeded sweep adds volume (the two
 together exceed 500 generated cases per run); dedicated tests pin the
@@ -106,8 +106,8 @@ def assert_table1_equivalent(overlay, oracle, n_pointers: int, n_objects: int) -
 
 
 def check_case(matrix: PointsToMatrix, log: DeltaLog, order: str = "hub",
-               compact: bool = False, mode: str = "ptlist") -> None:
-    base = index_from_bytes(encode(matrix, order=order, compact=compact), mode=mode)
+               compact: bool = False) -> None:
+    base = index_from_bytes(encode(matrix, order=order, compact=compact))
     overlay = OverlayIndex(base, log)
     edited = apply_script(matrix, log)
     oracle = index_from_bytes(encode(edited, order=order))
@@ -126,12 +126,6 @@ class TestOverlayOracle:
     def test_overlay_equals_full_rebuild(self, case, order):
         matrix, log = case
         check_case(matrix, log, order=order, compact=len(log) % 2 == 0)
-
-    @settings(max_examples=50)
-    @given(matrices_with_scripts())
-    def test_segment_mode_overlay(self, case):
-        matrix, log = case
-        check_case(matrix, log, mode="segment")
 
     @settings(max_examples=50)
     @given(matrices_with_scripts(), matrices_with_scripts())
@@ -352,7 +346,6 @@ class TestFlatBaseOracle:
     def _check_flat(self, matrix: PointsToMatrix, log: DeltaLog) -> None:
         base = index_from_bytes(encode(matrix, version=4), lazy=True)
         try:
-            assert base.mode == "flat"
             overlay = OverlayIndex(base, log)
             edited = apply_script(matrix, log)
             oracle = index_from_bytes(encode(edited))

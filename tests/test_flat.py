@@ -1,13 +1,13 @@
-"""The zero-copy PESTRIE4 query engine: selection, parity, hostile input.
+"""The flat query engine: selection, parity, hostile input.
 
 Three contracts around :class:`repro.core.flat.FlatIndex`:
 
-* **Selection** — ``PESTRIE4`` + ``ptlist`` mode gets the flat engine through
-  every public entry point; legacy versions and ``segment`` mode fall back
-  to the materialising :class:`~repro.core.query.PestrieIndex`.
-* **Parity** — every Table 1 answer from the mapped bytes equals the eager
-  decode and the matrix oracle, including the ``_pes_range`` boundary cases
-  the flat layout shares with the classic index (single-PES file, an
+* **Selection** — every public entry point returns the flat engine for
+  every format; a ``PESTRIE1``–``PESTRIE3`` image derives the same columns a
+  ``PESTRIE4`` image persists, half at a time, on first touch.
+* **Parity** — every Table 1 answer from the mapped bytes equals the
+  derived-column index over the same matrix and the matrix oracle,
+  including the ``_pes_range`` boundary cases (single-PES file, an
   unpointed trailing PES, a pointer sitting exactly on the last origin
   break).
 * **Hostile input** — corrupt bytes can never become a wrong answer: a flip
@@ -27,11 +27,10 @@ from repro.core.decoder import (
     decode_bytes,
     detect_format,
 )
-from repro.core.encoder import MAGIC_V4
-from repro.core.flat import FlatIndex, flat_supported, index_for_container
+from repro.core.encoder import ABSENT, MAGIC_V4
+from repro.core.flat import FlatIndex
 from repro.core.ioutil import crc32
 from repro.core.pipeline import encode, index_from_bytes, load_index
-from repro.core.query import PestrieIndex
 from repro.delta import DeltaLog, append_delta, load_overlay
 from repro.delta.persist import compact_file
 from repro.matrix.points_to import PointsToMatrix
@@ -94,7 +93,7 @@ def _get_word(data, layout, section, word):
 
 
 def _assert_matches_oracle(flat, eager, matrix):
-    """Every Table 1 query: flat == eager == brute-force matrix."""
+    """Every Table 1 query: mapped v4 == derived v3 == brute-force matrix."""
     n = matrix.n_pointers
     pairs = [(p, q) for p in range(n) for q in range(n)]
     assert flat.is_alias_batch(pairs) == [matrix.is_alias(p, q) for p, q in pairs]
@@ -114,44 +113,45 @@ def _assert_matches_oracle(flat, eager, matrix):
 
 
 class TestSelection:
-    def test_v4_ptlist_gets_flat_engine(self, v4_bytes):
-        container = Container.from_bytes(v4_bytes, allow_tail=False)
-        assert container.has_flat
-        assert flat_supported(container)
-        index = index_for_container(container)
-        assert isinstance(index, FlatIndex)
-        assert index.mode == "flat"
-        index.close()
+    def test_every_entry_point_returns_the_flat_engine(self, matrix, v4_bytes,
+                                                       tmp_path):
+        for data in (encode(matrix, order="hub", version=3), v4_bytes):
+            path = _write(tmp_path, "image.pst", data)
+            for index in (open_index(path), load_index(path, lazy=True),
+                          index_from_bytes(data, lazy=True), load_index(path),
+                          index_from_bytes(data)):
+                assert isinstance(index, FlatIndex)
+                assert index.materialize() == matrix
+                index.close()
 
-    def test_segment_mode_falls_back(self, v4_bytes):
-        container = Container.from_bytes(v4_bytes, allow_tail=False)
-        index = index_for_container(container, mode="segment")
-        assert isinstance(index, PestrieIndex)
-        index.close()
-
-    def test_v3_falls_back(self, matrix):
-        data = encode(matrix, order="hub", version=3)
-        container = Container.from_bytes(data, allow_tail=False)
-        assert not container.has_flat
-        assert not flat_supported(container)
-        index = index_for_container(container)
-        assert isinstance(index, PestrieIndex)
-        index.close()
-
-    def test_open_index_and_load_index_select_flat(self, v4_bytes, tmp_path):
-        path = _write(tmp_path, "image.pst", v4_bytes)
-        for index in (open_index(path), load_index(path, lazy=True),
-                      index_from_bytes(v4_bytes, lazy=True)):
-            assert isinstance(index, FlatIndex)
+    def test_lazy_v3_open_derives_nothing_until_queried(self, matrix, tmp_path):
+        path = _write(tmp_path, "image.pst", encode(matrix, order="hub", version=3))
+        index = open_index(path)
+        try:
+            assert index._container.sections_materialized == 0
+            index.pes_of(0)  # timestamp columns only
+            assert index._container.sections_materialized == 2
+            index.list_points_to(0)  # now the rectangle columns too
+            assert index._container.sections_materialized == 10
+        finally:
             index.close()
-        # Eager loads still materialise a classic index.
-        assert isinstance(load_index(path), PestrieIndex)
 
-    def test_flat_index_rejects_non_v4_container(self, matrix):
-        data = encode(matrix, order="hub", version=3)
-        with Container.from_bytes(data) as container:
-            with pytest.raises(ValueError, match="PESTRIE4"):
-                FlatIndex(container)
+    def test_derived_columns_equal_the_persisted_ones(self, matrix, v4_bytes):
+        """A v3 image's derived columns are byte-for-byte the v4 sections."""
+        derived = index_from_bytes(encode(matrix, order="hub", version=3))
+        mapped = index_from_bytes(v4_bytes, lazy=True)
+        try:
+            for name in FLAT_SECTION_NAMES:
+                column = "_" + name
+                assert (getattr(derived, column).tobytes()
+                        == getattr(mapped, column).tobytes()), name
+        finally:
+            mapped.close()
+
+    def test_eager_close_is_a_noop(self, matrix, v4_bytes):
+        index = index_from_bytes(v4_bytes)
+        index.close()
+        assert index.materialize() == matrix
 
     def test_flat_accessors_rejected_on_v3(self, matrix, v4_bytes):
         data = encode(matrix, order="hub", version=3)
@@ -217,10 +217,10 @@ class TestParity:
 class TestPesRangeBoundaries:
     """Satellite audit of ``_pes_range``: the block of the *last* PES.
 
-    Both engines derive a PES block's upper bound from the next origin
+    Both column sources derive a PES block's upper bound from the next origin
     timestamp; the last PES has none and must extend to ``n_groups - 1``.
     These matrices pin the three boundary shapes against the brute-force
-    oracle for the eager index AND the flat engine.
+    oracle for derived (v3) AND mapped (v4) columns.
     """
 
     def _check(self, matrix):
@@ -360,6 +360,34 @@ class TestForgedStructuralViolations:
         finally:
             flat.close()
 
+    def test_forged_absent_pes_rank_for_tracked_pointer(self, v4_bytes):
+        # A tracked pointer whose rank reads ABSENT used to reach
+        # ``origin_obj[ABSENT]`` in list_points_to: an IndexError, which
+        # callers cannot tell from a bad pointer id.
+        layout = _layout(v4_bytes)
+        tracked = next(p for p in range(layout["n_pointers"])
+                       if _get_word(v4_bytes, layout, "pes_rank", p) != ABSENT)
+        forged = self._forge_word(v4_bytes, "pes_rank", tracked, ABSENT)
+        flat = index_from_bytes(forged, lazy=True)
+        try:
+            with pytest.raises(CorruptFileError, match="tracked"):
+                flat.list_points_to(tracked)
+        finally:
+            flat.close()
+
+    def test_forged_pes_rank_for_untracked_pointer(self):
+        matrix = PointsToMatrix(4, 3)
+        matrix.add(1, 1)
+        matrix.add(2, 2)
+        data = encode(matrix, version=4)
+        forged = self._forge_word(data, "pes_rank", 0, 0)
+        flat = index_from_bytes(forged, lazy=True)
+        try:
+            with pytest.raises(CorruptFileError, match="tracked"):
+                flat.list_pointed_by(0)
+        finally:
+            flat.close()
+
     def test_forged_slab_breaks_not_increasing(self, v4_bytes):
         layout = _layout(v4_bytes)
         first = _get_word(v4_bytes, layout, "slab_breaks", 0)
@@ -414,36 +442,37 @@ class TestLifetime:
 
 
 class TestCloseRaceRegression:
-    def test_close_waits_for_in_flight_materialization(self, matrix, tmp_path):
-        """PestrieIndex.close vs lazy ``__getattr__``: the close must block.
+    def test_close_waits_for_in_flight_derivation(self, matrix, tmp_path):
+        """close() vs a lazy v3 first touch: the close must block.
 
-        The query thread stalls inside the sweep build (container.rects is
-        patched to wait); a close racing in used to release the container
-        underneath the build, so the query died with ContainerClosedError
-        instead of answering.  With close() honouring ``_lock`` it waits for
-        the build, and the answer matches the eager index.
+        The query thread stalls inside the column derivation
+        (container.timestamps is patched to wait); a close racing in must
+        not release the container underneath it, or the query would die
+        with ContainerClosedError instead of answering.  With close()
+        honouring the index lock it waits for the derivation, and the
+        answer matches the eager index.
         """
         data = encode(matrix, order="hub", version=3)
         path = _write(tmp_path, "image.pst", data)
-        expected = index_from_bytes(data).is_alias(0, 1)
+        expected = index_from_bytes(data).list_aliases(0)
 
         index = load_index(path, lazy=True)
         container = index._container
         build_started = threading.Event()
         release_build = threading.Event()
-        original_rects = container.rects
+        original_timestamps = container.timestamps
 
-        def stalled_rects():
+        def stalled_timestamps():
             build_started.set()
             release_build.wait(10)
-            return original_rects()
+            return original_timestamps()
 
-        container.rects = stalled_rects
+        container.timestamps = stalled_timestamps
         outcome = {}
 
         def query():
             try:
-                outcome["answer"] = index.is_alias(0, 1)
+                outcome["answer"] = index.list_aliases(0)
             except Exception as error:  # noqa: BLE001 - recorded for the assert
                 outcome["error"] = error
 
@@ -458,6 +487,7 @@ class TestCloseRaceRegression:
         closer.join(10)
         assert outcome.get("error") is None, outcome["error"]
         assert outcome["answer"] == expected
+        assert container.closed
 
 
 class TestFromBytesCopySemantics:

@@ -1,59 +1,46 @@
-"""The two query-structure modes must answer identically."""
+"""Table 7's query-memory trade: the ptList columns vs one segment tree.
+
+:class:`~repro.core.segment_tree.SegmentIndex` is not a serving engine; it
+exists so the ablation bench can measure what the paper's per-column lists
+cost against a structure that stores every rectangle once.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.synthetic import SyntheticSpec, synthesize
+from repro.core.decoder import decode_bytes
 from repro.core.pipeline import encode, index_from_bytes
+from repro.core.segment_tree import SegmentIndex
 
 from conftest import matrices
 
 
-class TestSegmentMode:
-    def test_unknown_mode_rejected(self, paper_matrix):
-        with pytest.raises(ValueError, match="unknown query mode"):
-            index_from_bytes(encode(paper_matrix), mode="btree")
-
-    def test_paper_example_agrees(self, paper_matrix):
-        data = encode(paper_matrix, order="identity")
-        ptlist = index_from_bytes(data, mode="ptlist")
-        segment = index_from_bytes(data, mode="segment")
-        for p in range(7):
-            assert sorted(segment.list_points_to(p)) == sorted(ptlist.list_points_to(p))
-            assert sorted(segment.list_aliases(p)) == sorted(ptlist.list_aliases(p))
-            for q in range(7):
-                assert segment.is_alias(p, q) == ptlist.is_alias(p, q)
-        for obj in range(5):
-            assert sorted(segment.list_pointed_by(obj)) == sorted(
-                ptlist.list_pointed_by(obj)
-            )
-
+class TestSegmentIndex:
     @settings(max_examples=60)
     @given(matrices(), st.sampled_from(["hub", "identity", "random"]))
-    def test_modes_agree_on_any_matrix(self, matrix, order):
-        data = encode(matrix, order=order, seed=3)
-        ptlist = index_from_bytes(data, mode="ptlist")
-        segment = index_from_bytes(data, mode="segment")
-        assert segment.materialize() == ptlist.materialize() == matrix
+    def test_is_alias_matches_oracle(self, matrix, order):
+        segment = SegmentIndex(decode_bytes(encode(matrix, order=order, seed=3)))
         for p in range(matrix.n_pointers):
-            assert sorted(segment.list_aliases(p)) == sorted(ptlist.list_aliases(p))
             for q in range(matrix.n_pointers):
-                assert segment.is_alias(p, q) == ptlist.is_alias(p, q)
+                assert segment.is_alias(p, q) == matrix.is_alias(p, q), (p, q)
 
     def test_memory_trade_on_synthetic(self):
-        """Segment mode must not use more memory than the column lists on a
-        hub-structured matrix (whose rectangles are wide)."""
+        """On a hub-structured matrix (wide rectangles) the segment tree
+        stores no more rectangle entries than the ptList slabs do."""
         matrix = synthesize(SyntheticSpec(n_pointers=600, n_objects=150, seed=21))
         data = encode(matrix)
-        ptlist = index_from_bytes(data, mode="ptlist")
-        segment = index_from_bytes(data, mode="segment")
-        assert segment.memory_footprint() <= ptlist.memory_footprint()
-        # And both answer a sample identically.
+        flat = index_from_bytes(data)
+        segment = SegmentIndex(decode_bytes(data))
+        assert segment.stored_entries() == len(decode_bytes(data).rects)
+        assert segment.stored_entries() <= flat.stored_entries()
         for p in range(0, 600, 37):
-            assert sorted(segment.list_aliases(p)) == sorted(ptlist.list_aliases(p))
+            for q in range(0, 600, 41):
+                assert segment.is_alias(p, q) == flat.is_alias(p, q)
 
-    def test_segment_mode_guards(self, paper_matrix):
-        segment = index_from_bytes(encode(paper_matrix), mode="segment")
+    def test_segment_index_guards(self, paper_matrix):
+        segment = SegmentIndex(decode_bytes(encode(paper_matrix)))
+        assert segment.memory_footprint() > 0
         with pytest.raises(IndexError):
             segment.is_alias(0, 99)

@@ -6,8 +6,6 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.pipeline import encode, index_from_bytes
 from repro.delta import DeltaLog, OverlayIndex
@@ -15,7 +13,7 @@ from repro.matrix.points_to import PointsToMatrix
 from repro.serve import AliasService, LRUCache, ShardedIndex
 from repro.serve.stats import QUERY_KINDS, ServiceStats, quantile
 
-from conftest import make_random_matrix, matrices
+from conftest import make_random_matrix
 
 
 def _apply_script(matrix, log):
@@ -39,31 +37,6 @@ def _shard_matrices(matrix, cuts):
                 sub.add(p - lo, obj)
         shards.append(sub)
     return shards
-
-
-class TestModeParity:
-    """All query structures answer all four Table 1 queries identically."""
-
-    @settings(max_examples=50)
-    @given(matrices(), st.sampled_from(["hub", "identity", "random"]))
-    def test_all_queries_agree_pointwise(self, matrix, order):
-        data = encode(matrix, order=order, seed=5)
-        ptlist = index_from_bytes(data, mode="ptlist")  # event-sweep build
-        segment = index_from_bytes(data, mode="segment")
-        for p in range(matrix.n_pointers):
-            expected_points = matrix.list_points_to(p)
-            expected_aliases = matrix.list_aliases(p)
-            for backend in (ptlist, segment):
-                assert sorted(backend.list_points_to(p)) == expected_points
-                assert sorted(backend.list_aliases(p)) == expected_aliases
-            for q in range(matrix.n_pointers):
-                expected = matrix.is_alias(p, q)
-                assert ptlist.is_alias(p, q) == expected
-                assert segment.is_alias(p, q) == expected
-        for obj in range(matrix.n_objects):
-            expected = matrix.list_pointed_by(obj)
-            assert sorted(ptlist.list_pointed_by(obj)) == expected
-            assert sorted(segment.list_pointed_by(obj)) == expected
 
 
 class TestLRUCache:

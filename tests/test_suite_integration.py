@@ -20,13 +20,13 @@ def loaded(request):
     subject = get_subject(request.param)
     matrix = subject.matrix
     pestrie = index_from_bytes(encode(matrix))
-    segment = index_from_bytes(encode(matrix), mode="segment")
+    mapped = index_from_bytes(encode(matrix, version=4))
     buffer = io.BytesIO()
     BitmapPersistence.encode(matrix, buffer)
     buffer.seek(0)
     bitp = BitmapPersistence.decode(buffer)
     demand = DemandDriven(matrix)
-    return subject, matrix, pestrie, segment, bitp, demand
+    return subject, matrix, pestrie, mapped, bitp, demand
 
 
 def _sample(n, count=40):
@@ -36,29 +36,30 @@ def _sample(n, count=40):
 
 class TestSuiteBackendsAgree:
     def test_is_alias(self, loaded):
-        _, matrix, pestrie, segment, bitp, demand = loaded
+        _, matrix, pestrie, mapped, bitp, demand = loaded
         for p in _sample(matrix.n_pointers):
             for q in _sample(matrix.n_pointers):
                 expected = matrix.is_alias(p, q)
                 assert pestrie.is_alias(p, q) == expected, (p, q)
-                assert segment.is_alias(p, q) == expected, (p, q)
+                assert mapped.is_alias(p, q) == expected, (p, q)
                 assert bitp.is_alias(p, q) == expected, (p, q)
                 assert demand.is_alias(p, q) == expected, (p, q)
 
     def test_list_queries(self, loaded):
-        _, matrix, pestrie, segment, bitp, _ = loaded
+        _, matrix, pestrie, mapped, bitp, _ = loaded
         for p in _sample(matrix.n_pointers):
             expected_pts = matrix.list_points_to(p)
             assert sorted(pestrie.list_points_to(p)) == expected_pts
-            assert sorted(segment.list_points_to(p)) == expected_pts
+            assert sorted(mapped.list_points_to(p)) == expected_pts
             assert bitp.list_points_to(p) == expected_pts
             expected_aliases = matrix.list_aliases(p)
             assert sorted(pestrie.list_aliases(p)) == expected_aliases
-            assert sorted(segment.list_aliases(p)) == expected_aliases
+            assert sorted(mapped.list_aliases(p)) == expected_aliases
             assert bitp.list_aliases(p) == expected_aliases
         for obj in _sample(matrix.n_objects):
             expected = matrix.list_pointed_by(obj)
             assert sorted(pestrie.list_pointed_by(obj)) == expected
+            assert sorted(mapped.list_pointed_by(obj)) == expected
             assert bitp.list_pointed_by(obj) == expected
 
     def test_round_trip(self, loaded):

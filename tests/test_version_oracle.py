@@ -3,7 +3,7 @@
 The MVCC invariant under test: for any base matrix and any sequence of
 edit scripts appended as epoch-stamped delta records, replaying the chain
 prefix ``as_of(k)`` answers all four Table 1 queries identically to a
-:class:`PestrieIndex` built from a *full re-encode* of the matrix after
+:class:`FlatIndex` built from a *full re-encode* of the matrix after
 the first ``k`` scripts — for every epoch ``k`` at once, from one file
 open.  Compaction folds history and must make folded epochs fail loudly
 (:class:`VersionUnavailableError`), never answer from the wrong version.
@@ -135,18 +135,6 @@ class TestVersionOracle:
         scripts, _ = effective_scripts(rng, matrix, 3)
         states = build_chain(path, matrix, scripts)
         versioned = load_versions(path, lazy=lazy)
-        try:
-            assert_chain_matches_rebuilds(versioned, states)
-        finally:
-            versioned.close()
-
-    def test_segment_mode(self, tmp_path):
-        matrix = make_random_matrix(12, 5, density=0.3, seed=32)
-        path = str(tmp_path / "seg.pestrie")
-        persist(matrix, path)
-        scripts, _ = effective_scripts(random.Random(32), matrix, 2)
-        states = build_chain(path, matrix, scripts)
-        versioned = load_versions(path, mode="segment")
         try:
             assert_chain_matches_rebuilds(versioned, states)
         finally:
