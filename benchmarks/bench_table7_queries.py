@@ -24,7 +24,7 @@ from repro.clients.race import (
     aliasing_pairs_by_list_aliases,
 )
 
-from conftest import write_result
+from conftest import DECODE_RUNS, write_result
 
 #: Workload caps so pure Python finishes; sampling is deterministic.
 PAIR_LIMIT = 12_000
@@ -168,16 +168,20 @@ def test_table7_decode_time_and_memory(encoded_suite, benchmark):
 
     table = Table(
         title="Table 7c — persistence decoding time and query memory",
-        columns=("Program", "Decode PesP (s)", "Decode BitP (s)",
-                 "Memory PesP (MB)", "Memory BitP (MB)"),
-        note="Paper: decoding takes seconds while the original analyses took hours.",
+        columns=("Program", "Decode PesP (s)", "± PesP (s)", "Decode BitP (s)",
+                 "± BitP (s)", "Memory PesP (MB)", "Memory BitP (MB)"),
+        note="Decode: median of %d runs; ± is their max - min.\n"
+             "Paper: decoding takes seconds while the original analyses took hours."
+             % DECODE_RUNS,
     )
     for encoded in encoded_suite.values():
         table.add(
             Program=encoded.name,
             **{
                 "Decode PesP (s)": encoded.pes_decode_seconds,
+                "± PesP (s)": encoded.pes_decode_spread,
                 "Decode BitP (s)": encoded.bitp_decode_seconds,
+                "± BitP (s)": encoded.bitp_decode_spread,
                 "Memory PesP (MB)": encoded.pestrie.memory_footprint() / 1e6,
                 "Memory BitP (MB)": encoded.bitp.memory_footprint() / 1e6,
             },

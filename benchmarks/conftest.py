@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from statistics import median
 from typing import Dict, Optional
 
 import pytest
@@ -26,6 +27,9 @@ from repro.core.flat import FlatIndex
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: Decodes timed per persisted artefact; Table 7c reports their median.
+DECODE_RUNS = 5
+
 
 @dataclass
 class EncodedSubject:
@@ -36,12 +40,14 @@ class EncodedSubject:
     pes_size: int
     pes_construct_seconds: float
     pes_decode_seconds: float
+    pes_decode_spread: float
     pestrie: FlatIndex
 
     bitp_path: str
     bitp_size: int
     bitp_construct_seconds: float
     bitp_decode_seconds: float
+    bitp_decode_spread: float
     bitp: BitmapIndex
 
     bzip_path: str
@@ -68,15 +74,24 @@ class EncodedSubject:
         return self.subject.name
 
 
+def _timed_decodes(decode):
+    """``(median seconds, max - min seconds, result)`` over ``DECODE_RUNS`` decodes."""
+    runs = [timed(decode) for _ in range(DECODE_RUNS)]
+    seconds = [run.seconds for run in runs]
+    return median(seconds), max(seconds) - min(seconds), runs[-1].result
+
+
 def _encode_subject(subject: Subject, directory: str) -> EncodedSubject:
     matrix = subject.matrix
     pes_path = os.path.join(directory, subject.name + ".pes")
     construct = timed(lambda: persist(matrix, pes_path))
-    decode = timed(lambda: load_index(pes_path))
+    decode_seconds, decode_spread, pestrie = _timed_decodes(
+        lambda: load_index(pes_path))
 
     bitp_path = os.path.join(directory, subject.name + ".bitp")
     bitp_construct = timed(lambda: BitmapPersistence.encode_to_file(matrix, bitp_path))
-    bitp_decode = timed(lambda: BitmapPersistence.decode_from_file(bitp_path))
+    bitp_seconds, bitp_spread, bitp = _timed_decodes(
+        lambda: BitmapPersistence.decode_from_file(bitp_path))
 
     bzip_path = os.path.join(directory, subject.name + ".bz")
     bzip_construct = timed(lambda: BzipPersistence.encode_to_file(matrix, bzip_path))
@@ -90,13 +105,15 @@ def _encode_subject(subject: Subject, directory: str) -> EncodedSubject:
         pes_path=pes_path,
         pes_size=construct.result,
         pes_construct_seconds=construct.seconds,
-        pes_decode_seconds=decode.seconds,
-        pestrie=decode.result,
+        pes_decode_seconds=decode_seconds,
+        pes_decode_spread=decode_spread,
+        pestrie=pestrie,
         bitp_path=bitp_path,
         bitp_size=bitp_construct.result,
         bitp_construct_seconds=bitp_construct.seconds,
-        bitp_decode_seconds=bitp_decode.seconds,
-        bitp=bitp_decode.result,
+        bitp_decode_seconds=bitp_seconds,
+        bitp_decode_spread=bitp_spread,
+        bitp=bitp,
         bzip_path=bzip_path,
         bzip_size=bzip_construct.result,
         bzip_construct_seconds=bzip_construct.seconds,

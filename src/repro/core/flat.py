@@ -20,6 +20,17 @@ the exemplar ``PPtr`` design, applied to a whole query structure:
 * the per-object Case-1 span table (``c1_offsets`` → ``c1_x1``/``c1_x2``)
   serves ``points_to_contains`` and ``list_pointed_by``.
 
+**List answers are runs.**  The pointers with timestamps in ``[lo, hi]``
+are one contiguous run of ``sorted_ptr_id``, so ``list_aliases`` (the PES
+run with ``p`` cut out, then one run per slab entry) and
+``list_pointed_by`` (the PES run, then one run per Case-1 span) are joins
+of ``memoryview`` slices: the ``*_packed`` methods return them as
+little-endian ``uint32`` bytes with no Python work per id, and the list
+methods unpack those bytes.  A run-start table, ``pos[t]`` for every
+timestamp, turns each run's bounds into two array loads; it is derived at
+the first list query, never at open.  The run order is stable but not
+sorted, and the service cache and the daemon's wire bytes keep it.
+
 :class:`FlatIndex` is the one engine behind every loader, for every format:
 
 * ``PESTRIE4`` images persist these columns, so the index reads them
@@ -39,9 +50,12 @@ trailer at open, and :meth:`FlatIndex._validate` re-checks once, before the
 first answer, the invariants the searches index with: strictly increasing
 origin and slab-break tables, in-range ranks and pointer ids, ``pes_rank``
 absent exactly where the pointer is untracked, sorted pointer timestamps,
-and offset tables that are monotone and span their entry columns.  That
-turns a forged-but-checksummed image whose tables would index out of
-bounds into :class:`CorruptFileError`.  It does *not* prove the columns
+and offset tables that are monotone and span their entry columns.  The
+first list query also checks that every slab entry and Case-1 span ends
+inside the group range (they index the run-start table), and each
+``list_aliases`` that ``p`` sits in its timestamp group.  That turns a
+forged-but-checksummed image whose tables would index out of bounds into
+:class:`CorruptFileError`.  It does *not* prove the columns
 agree with the classic sections or with each other: a resealed image can
 still pass these checks and answer as no single matrix would.  A resealed
 fuzz arm that closes that gap is an open ROADMAP item.
@@ -54,6 +68,7 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from functools import partial
 from itertools import islice
 from operator import le, lt
 from typing import List, Optional, Sequence, Tuple
@@ -211,6 +226,67 @@ def _absent_mask(view: memoryview) -> int:
     return mask
 
 
+def pack_ids(values: Sequence[int]) -> bytes:
+    """``values`` as little-endian ``uint32`` bytes: the packed answer form."""
+    words = array("I")
+    # fromlist converts a list about twice as fast as array("I", values).
+    words.fromlist(values if isinstance(values, list) else list(values))
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words.tobytes()
+
+
+def unpack_ids(data) -> List[int]:
+    """The ids of a packed answer (any bytes-like of little-endian ``uint32``)."""
+    words = array("I")
+    words.frombytes(data)
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words.tolist()
+
+
+#: The packed form of each list query, by query name.
+PACKED_QUERIES = {
+    "list_aliases": "list_aliases_packed",
+    "list_points_to": "list_points_to_packed",
+    "list_pointed_by": "list_pointed_by_packed",
+}
+
+
+def packed_answer(backend, kind: str, operand: int) -> bytes:
+    """``backend``'s ``kind`` answer for ``operand`` as packed bytes.
+
+    Uses the backend's packed method when it has one (every backend in
+    this package does); a duck-typed backend's list is packed here.
+    """
+    packed = getattr(backend, PACKED_QUERIES[kind], None)
+    if packed is not None:
+        return packed(operand)
+    return pack_ids(getattr(backend, kind)(operand))
+
+
+def _join_runs(runs: List[memoryview]) -> bytes:
+    """Concatenate native ``uint32`` runs into one owned little-endian answer."""
+    data = b"".join(runs)
+    if sys.byteorder == "little":
+        return data
+    words = array("I", data)
+    words.byteswap()
+    return words.tobytes()
+
+
+class _BisectRuns:
+    """A run-start table for sparse timestamps: ``pos[t]`` by bisection."""
+
+    __slots__ = ("_timestamps",)
+
+    def __init__(self, timestamps: List[int]):
+        self._timestamps = timestamps
+
+    def __getitem__(self, ts: int) -> int:
+        return bisect_left(self._timestamps, ts)
+
+
 class FlatIndex:
     """Table 1 queries over the flat columns of one Pestrie.
 
@@ -280,6 +356,7 @@ class FlatIndex:
         self._closed = False
         self._ts_ready = False
         self._rects_ready = False
+        self._run_starts = None
         self._owned = False
         self._views: List[memoryview] = []
         self.n_pointers = n_pointers
@@ -349,10 +426,14 @@ class FlatIndex:
             if container is not None:
                 container.close()
 
-    def _ready(self, rects: bool = True) -> None:
+    def _ready(self, rects: bool = True, runs: bool = False) -> None:
         """Make the timestamp columns (and, by default, the rectangle
-        columns) answerable: validated when mapped, derived otherwise."""
-        if not self._closed and (self._rects_ready if rects else self._ts_ready):
+        columns) answerable: validated when mapped, derived otherwise.
+        ``runs`` also builds the run-start table the list queries slice
+        with (see :meth:`_run_table`)."""
+        if not self._closed and (
+                self._run_starts is not None if runs
+                else self._rects_ready if rects else self._ts_ready):
             return
         with self._lock:
             if self._closed:
@@ -363,27 +444,37 @@ class FlatIndex:
                 if not self._rects_ready:
                     self._validate()
                     self._ts_ready = self._rects_ready = True
-                return
-            if not self._ts_ready:
-                pointer_ts, object_ts = self._timestamps()
-                columns = _timestamp_columns(pointer_ts, object_ts)
-                self._ptr_ts = self._track(_u32_view(pointer_ts))
-                self._obj_ts = self._track(_u32_view(object_ts))
-                (self._origin_ts, self._origin_obj, self._obj_rank, self._pes_rank,
-                 self._sorted_ptr_ts, self._sorted_ptr_id) = (
-                    self._track(_u32_view(values)) for values in columns
-                )
-                self._ts_ready = True
-            if rects and not self._rects_ready:
-                columns = _rect_columns(self._obj_ts, self._rect_list())
-                (self._slab_breaks, self._slab_offsets, self._ent_y1,
-                 self._ent_y2) = (self._track(_u32_view(values))
-                                  for values in columns[:4])
-                self._ent_flags = self._track(memoryview(bytes(columns[4])))
-                self._c1_offsets, self._c1_x1, self._c1_x2 = (
-                    self._track(_u32_view(values)) for values in columns[5:]
-                )
-                self._rects_ready = True
+            else:
+                self._derive(rects)
+            if runs and self._run_starts is None:
+                self._run_starts = self._run_table()
+
+    def _derive(self, rects: bool) -> None:
+        """Derive the timestamp (and rectangle) columns of an unmapped image."""
+        if not self._ts_ready:
+            pointer_ts, object_ts = self._timestamps()
+            columns = _timestamp_columns(pointer_ts, object_ts)
+            self._ptr_ts = self._track(_u32_view(pointer_ts))
+            self._obj_ts = self._track(_u32_view(object_ts))
+            (self._origin_ts, self._origin_obj, self._obj_rank, self._pes_rank,
+             self._sorted_ptr_ts, self._sorted_ptr_id) = (
+                self._track(_u32_view(values)) for values in columns
+            )
+            self._ts_ready = True
+        if rects and not self._rects_ready:
+            columns = _rect_columns(self._obj_ts, self._rect_list())
+            (self._slab_breaks, self._slab_offsets, self._ent_y1,
+             self._ent_y2) = (self._track(_u32_view(values))
+                              for values in columns[:4])
+            self._ent_flags = self._track(memoryview(bytes(columns[4])))
+            self._c1_offsets, self._c1_x1, self._c1_x2 = (
+                self._track(_u32_view(values)) for values in columns[5:]
+            )
+            self._rects_ready = True
+            if self._container is not None:
+                # Every column is derived: the parsed sections are now dead
+                # weight (iter_alias_pairs re-reads the rectangles).
+                self._container.release_parsed()
 
     def _validate(self) -> None:
         """One-time structural check of the mapped search invariants.
@@ -426,6 +517,32 @@ class FlatIndex:
             if not _ascending(offsets, strict=False):
                 raise CorruptFileError("flat %s table is not monotone" % name)
 
+    def _run_table(self):
+        """The run-start table: ``pos[t] = bisect_left(sorted_ptr_ts, t)``.
+
+        The tracked pointers with timestamps in ``[lo, hi]`` are the run
+        ``sorted_ptr_id[pos[lo]:pos[hi + 1]]``, so a list answer is a join of
+        such runs with no search per run.  Built once, at the first list
+        query (never at open or in :meth:`_validate`: an ``is_alias``-only
+        client never pays for it).  A mapped image's span columns index the
+        table, so they are range-checked here first.
+
+        An encoded image has at most one group per pointer plus one per
+        object, so the dense table costs no more than a timestamp column.
+        A payload with sparser timestamps (hand-built, or a forged group
+        count) gets a table that bisects per lookup instead.
+        """
+        if self._mapped:
+            for name, view in (("ent_y1", self._ent_y1), ("ent_y2", self._ent_y2),
+                               ("c1_x1", self._c1_x1), ("c1_x2", self._c1_x2)):
+                if not _below(view, self.n_groups):
+                    raise CorruptFileError("flat %s entry outside group range" % name)
+        timestamps = self._sorted_ptr_ts.tolist()
+        if self.n_groups > self.n_pointers + self.n_objects:
+            return _BisectRuns(timestamps)
+        return array("I", map(partial(bisect_left, timestamps),
+                              range(self.n_groups + 1)))
+
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
@@ -441,9 +558,8 @@ class FlatIndex:
             raise IndexError("object id %d out of range [0, %d)" % (obj, self.n_objects))
 
     def _pointers_in_range(self, lo: int, hi: int) -> List[int]:
-        start = bisect_left(self._sorted_ptr_ts, lo)
-        stop = bisect_right(self._sorted_ptr_ts, hi)
-        return self._sorted_ptr_id[start:stop].tolist()
+        pos = self._run_starts
+        return self._sorted_ptr_id[pos[lo]:pos[hi + 1]].tolist()
 
     def _pes_range_of_rank(self, rank: int) -> Tuple[int, int]:
         """The timestamp block ``[I, next_I)`` of the PES at origin ``rank``."""
@@ -540,21 +656,36 @@ class FlatIndex:
 
     def list_aliases(self, p: int) -> List[int]:
         """All pointers aliased to ``p`` — O(answer size)."""
-        self._ready()
+        return unpack_ids(self.list_aliases_packed(p))
+
+    def list_aliases_packed(self, p: int) -> bytes:
+        """:meth:`list_aliases` as little-endian ``uint32`` bytes.
+
+        The answer is a join of runs of ``sorted_ptr_id``: ``p``'s PES run
+        with ``p`` cut out, then one run per slab entry at ``p``'s column,
+        in stored order.  No Python work is done per id.
+        """
+        self._ready(runs=True)
         self._check_pointer(p)
         ts_p = self._ptr_ts[p]
         if ts_p == ABSENT:
-            return []
-        result: List[int] = []
+            return b""
+        pos = self._run_starts
+        ids = self._sorted_ptr_id
         lo, hi = self._pes_range_of_rank(self._pes_rank[p])
-        for pointer in self._pointers_in_range(lo, hi):
-            if pointer != p:
-                result.append(pointer)
-        ent_y1, ent_y2 = self._ent_y1, self._ent_y2
+        cut = stop = -1
+        if lo <= ts_p <= hi:
+            # p sits in its equal-timestamp group, which is sorted by id.
+            stop = pos[ts_p + 1]
+            cut = bisect_left(ids, p, pos[ts_p], stop)
+        if cut == stop or ids[cut] != p:
+            raise CorruptFileError(
+                "pointer %d is missing from its timestamp group" % p)
+        runs = [ids[pos[lo]:cut], ids[cut + 1:pos[hi + 1]]]
         lo, hi = self._slab_range(ts_p)
-        for index in range(lo, hi):
-            result.extend(self._pointers_in_range(ent_y1[index], ent_y2[index]))
-        return result
+        runs += [ids[pos[y1]:pos[y2 + 1]]
+                 for y1, y2 in zip(self._ent_y1[lo:hi], self._ent_y2[lo:hi])]
+        return _join_runs(runs)
 
     def points_to_contains(self, p: int, obj: int) -> bool:
         """Membership test ``obj ∈ points-to(p)`` in O(log n).
@@ -579,30 +710,40 @@ class FlatIndex:
 
     def list_points_to(self, p: int) -> List[int]:
         """The points-to set of ``p``."""
+        return unpack_ids(self.list_points_to_packed(p))
+
+    def list_points_to_packed(self, p: int) -> bytes:
+        """:meth:`list_points_to` as little-endian ``uint32`` bytes."""
         self._ready()
         self._check_pointer(p)
         ts_p = self._ptr_ts[p]
         if ts_p == ABSENT:
-            return []
+            return b""
         result = [self._origin_obj[self._pes_rank[p]]]
         ent_y1, ent_flags = self._ent_y1, self._ent_flags
         lo, hi = self._slab_range(ts_p)
         for index in range(lo, hi):
             if ent_flags[index] == FLAT_CASE1:  # case-1 and not mirrored
                 result.append(self._object_at_origin_ts(ent_y1[index]))
-        return result
+        return pack_ids(result)
 
     def list_pointed_by(self, obj: int) -> List[int]:
         """All pointers that may point to ``obj``."""
-        self._ready()
+        return unpack_ids(self.list_pointed_by_packed(obj))
+
+    def list_pointed_by_packed(self, obj: int) -> bytes:
+        """:meth:`list_pointed_by` as little-endian ``uint32`` bytes: the
+        run of ``obj``'s PES, then one run per Case-1 span of ``obj``."""
+        self._ready(runs=True)
         self._check_object(obj)
+        pos = self._run_starts
+        ids = self._sorted_ptr_id
         lo, hi = self._pes_range_of_rank(self._obj_rank[obj])
-        result = self._pointers_in_range(lo, hi)
-        c1_x1, c1_x2 = self._c1_x1, self._c1_x2
+        runs = [ids[pos[lo]:pos[hi + 1]]]
         lo, hi = self._c1_offsets[obj], self._c1_offsets[obj + 1]
-        for index in range(lo, hi):
-            result.extend(self._pointers_in_range(c1_x1[index], c1_x2[index]))
-        return result
+        runs += [ids[pos[x1]:pos[x2 + 1]]
+                 for x1, x2 in zip(self._c1_x1[lo:hi], self._c1_x2[lo:hi])]
+        return _join_runs(runs)
 
     def iter_alias_pairs(self):
         """Yield every unordered alias pair ``(p, q)`` with ``p < q`` once.
@@ -612,7 +753,7 @@ class FlatIndex:
         which a container parses on first use.  This is the bulk route for
         whole-program clients — no per-pointer query loop.
         """
-        self._ready()
+        self._ready(runs=True)
         for rank in range(self.n_objects):
             lo, hi = self._pes_range_of_rank(rank)
             members = self._pointers_in_range(lo, hi)
@@ -670,5 +811,9 @@ __all__ = [
     "FLAT_MIRRORED",
     "FlatIndex",
     "N_FLAT_SECTIONS",
+    "PACKED_QUERIES",
     "build_flat_sections",
+    "pack_ids",
+    "packed_answer",
+    "unpack_ids",
 ]

@@ -7,8 +7,9 @@ module puts a network front door on the serve layer:
 * a **unix-socket binary listener** speaking the length-prefixed batch
   protocol of :mod:`repro.daemon.protocol` — each frame routes straight
   into the service's batch fast path (``is_alias_batch`` /
-  ``_list_batch``), so protocol, locking, and instrumentation costs are
-  paid once per frame, not once per query;
+  ``packed_batch``), so protocol, locking, and instrumentation costs are
+  paid once per frame, not once per query, and list answers reach the
+  socket as the packed bytes the index joined;
 * **request coalescing** — identical read-only frames in flight at the
   same time share one computation; later arrivals await the first one's
   result instead of re-running it (a delta bumps the coalesce epoch, so
@@ -538,11 +539,7 @@ class AliasDaemon:
             self._queries.inc(len(pairs))
             return protocol.encode_bools(answers)
         operands = protocol.decode_list(body)
-        rows = {
-            OP_LIST_ALIASES: target.list_aliases_many,
-            OP_LIST_POINTS_TO: target.points_to_batch,
-            OP_LIST_POINTED_BY: target.pointed_by_batch,
-        }[op](operands)
+        rows = target.packed_batch(OP_NAMES[op], operands)
         self._queries.inc(len(operands))
         return protocol.encode_id_lists(rows)
 

@@ -33,7 +33,10 @@ the pointers whose effective row differs from the base:
 * With no delta at all, or on a row/column the delta never touched,
   every query (``is_alias_batch`` too) forwards straight to the base.
 
-List answers are unordered, as on every other backend.
+List answers are unordered, as on every other backend.  Each list query
+also has a packed form (``list_aliases_packed`` and so on, as on
+:class:`FlatIndex`): a query the delta cannot touch forwards the base's
+packed answer, and any other packs the overlay's list.
 
 Instances are immutable after construction: :meth:`extend` composes a
 further edit script into a *new* overlay sharing the same base.  Delta
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.flat import FlatIndex
+from ..core.flat import FlatIndex, pack_ids, packed_answer
 from ..matrix.points_to import PointsToMatrix
 from ..obs import get_registry, trace
 from .log import DeltaLog
@@ -405,6 +408,23 @@ class OverlayIndex:
             candidates.update(self._base.list_pointed_by(obj))
         candidates.discard(p)
         return [q for q in candidates if self.is_alias(p, q)]
+
+    def list_points_to_packed(self, p: int) -> bytes:
+        if not self._is_dirty(p):
+            return packed_answer(self._base, "list_points_to", p)
+        return pack_ids(self.list_points_to(p))
+
+    def list_pointed_by_packed(self, obj: int) -> bytes:
+        state = self._state
+        if obj not in state.ins_by_obj and obj not in state.del_by_obj:
+            return packed_answer(self._base, "list_pointed_by", obj)
+        return pack_ids(self.list_pointed_by(obj))
+
+    def list_aliases_packed(self, p: int) -> bytes:
+        state = self._state
+        if not state.inserted and not state.deleted:
+            return packed_answer(self._base, "list_aliases", p)
+        return pack_ids(self.list_aliases(p))
 
     # ------------------------------------------------------------------
     # Bulk reconstruction

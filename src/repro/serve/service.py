@@ -12,7 +12,8 @@ should talk to instead of a raw :class:`FlatIndex`:
   ``points_to_batch`` deduplicate repeated queries, sort the remainder by
   ptList column so consecutive lookups share slab searches, and pay the
   instrumentation cost once per call instead of once per query;
-* **caching** — a bounded LRU holds recent answers, valid until
+* **caching** — a bounded LRU holds recent answers (list answers as the
+  packed little-endian ``uint32`` bytes the backend returns), valid until
   :meth:`~AliasService.apply_delta` swaps the backend (which invalidates
   exactly the entries the delta could have changed);
 * **live updates** — :meth:`~AliasService.apply_delta` hot-swaps the
@@ -28,10 +29,9 @@ from __future__ import annotations
 
 import threading
 import time
-from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.flat import FlatIndex
+from ..core.flat import PACKED_QUERIES, FlatIndex, packed_answer, unpack_ids
 from ..delta import (
     DeltaLog,
     OverlayIndex,
@@ -423,8 +423,8 @@ class AliasService:
                           epoch=version, cost=cost)
         return value
 
-    def _snapshot_list(self, backend, version: int, kind: str,
-                       operand: int) -> List[int]:
+    def _snapshot_packed(self, backend, version: int, kind: str,
+                         operand: int) -> bytes:
         start = time.perf_counter()
         key = (kind, operand, version)
         value = self._cache.get(key, _MISS)
@@ -436,7 +436,7 @@ class AliasService:
                 with trace.span("serve.%s" % kind, version=version), \
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
-                    value = array("I", getattr(backend, kind)(operand))
+                    value = packed_answer(backend, kind, operand)
                 _fill_cost(cost, backend, version, 0, 1, 1)
             self._cache.put(key, value)
         else:
@@ -446,7 +446,7 @@ class AliasService:
         self._stats.record(kind, elapsed)
         self._slow.record(kind, (operand,), elapsed, cache_hit=hit,
                           epoch=version, cost=cost)
-        return value.tolist()
+        return value
 
     # ------------------------------------------------------------------
     # Single-query API
@@ -483,15 +483,15 @@ class AliasService:
         return value
 
     def list_aliases(self, p: int) -> List[int]:
-        return self._list_query("list_aliases", p)
+        return unpack_ids(self._list_query("list_aliases", p))
 
     def list_points_to(self, p: int) -> List[int]:
-        return self._list_query("list_points_to", p)
+        return unpack_ids(self._list_query("list_points_to", p))
 
     def list_pointed_by(self, obj: int) -> List[int]:
-        return self._list_query("list_pointed_by", obj)
+        return unpack_ids(self._list_query("list_pointed_by", obj))
 
-    def _list_query(self, kind: str, operand: int) -> List[int]:
+    def _list_query(self, kind: str, operand: int) -> bytes:
         start = time.perf_counter()
         key = (kind, operand)
         value = self._cache.get(key, _MISS)
@@ -505,7 +505,7 @@ class AliasService:
                 with trace.span("serve.%s" % kind), \
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
-                    value = array("I", getattr(backend, kind)(operand))
+                    value = packed_answer(backend, kind, operand)
                 _fill_cost(cost, backend, self._version, 0, 1, 1)
             self._cache.put(key, value, epoch=epoch)
         else:
@@ -515,7 +515,7 @@ class AliasService:
         self._stats.record(kind, elapsed)
         self._slow.record(kind, (operand,), elapsed, cache_hit=hit,
                           epoch=self._version, cost=cost)
-        return value.tolist()
+        return value
 
     # ------------------------------------------------------------------
     # Batch API
@@ -583,17 +583,26 @@ class AliasService:
         return results
 
     def list_aliases_many(self, pointers: Sequence[int]) -> List[List[int]]:
-        return self._list_batch("list_aliases", pointers)
+        return list(map(unpack_ids, self.packed_batch("list_aliases", pointers)))
 
     def points_to_batch(self, pointers: Sequence[int]) -> List[List[int]]:
-        return self._list_batch("list_points_to", pointers)
+        return list(map(unpack_ids, self.packed_batch("list_points_to", pointers)))
 
     def pointed_by_batch(self, objects: Sequence[int]) -> List[List[int]]:
-        return self._list_batch("list_pointed_by", objects)
+        return list(map(unpack_ids, self.packed_batch("list_pointed_by", objects)))
 
-    def _list_batch(self, kind: str, operands: Sequence[int]) -> List[List[int]]:
+    def packed_batch(self, kind: str, operands: Sequence[int]) -> List[bytes]:
+        """Answer many ``kind`` list queries, each as packed bytes.
+
+        ``kind`` is ``"list_aliases"``, ``"list_points_to"`` or
+        ``"list_pointed_by"``; each answer is the little-endian ``uint32``
+        bytes the daemon writes to the wire unchanged.  Repeated operands
+        (in the batch or the cache) are answered once.
+        """
+        if kind not in PACKED_QUERIES:
+            raise ValueError("%r is not a list query" % (kind,))
         start = time.perf_counter()
-        results: List[Optional[array]] = [None] * len(operands)
+        results: List[Optional[bytes]] = [None] * len(operands)
         pending: Dict[int, List[int]] = {}
         hits = 0
         for position, operand in enumerate(operands):
@@ -618,13 +627,12 @@ class AliasService:
                 # Column-sorted resolution: consecutive misses touch
                 # neighbouring slabs, keeping the lookups cache-friendly.
                 unique.sort(key=lambda operand: _column_key(column_of, operand))
-            query = getattr(backend, kind)
             with measure() as cost:
                 with trace.span("serve.%s" % kind, batch=len(operands)), \
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
                     for operand in unique:
-                        value = array("I", query(operand))
+                        value = packed_answer(backend, kind, operand)
                         self._cache.put((kind, operand), value, epoch=epoch)
                         for position in pending[operand]:
                             results[position] = value
@@ -642,7 +650,7 @@ class AliasService:
                               cache_hit=not pending, batched=True,
                               queries=len(operands), epoch=self._version,
                               cost=cost)
-        return [value.tolist() for value in results]
+        return results
 
 
 class AliasSnapshot:
@@ -688,16 +696,17 @@ class AliasSnapshot:
         return self._service._snapshot_is_alias(self._backend, self._version, p, q)
 
     def list_aliases(self, p: int) -> List[int]:
-        return self._service._snapshot_list(
-            self._backend, self._version, "list_aliases", p)
+        return unpack_ids(self._packed("list_aliases", p))
 
     def list_points_to(self, p: int) -> List[int]:
-        return self._service._snapshot_list(
-            self._backend, self._version, "list_points_to", p)
+        return unpack_ids(self._packed("list_points_to", p))
 
     def list_pointed_by(self, obj: int) -> List[int]:
-        return self._service._snapshot_list(
-            self._backend, self._version, "list_pointed_by", obj)
+        return unpack_ids(self._packed("list_pointed_by", obj))
+
+    def _packed(self, kind: str, operand: int) -> bytes:
+        return self._service._snapshot_packed(self._backend, self._version,
+                                              kind, operand)
 
     # -- batch queries ---------------------------------------------------
 
@@ -712,6 +721,12 @@ class AliasSnapshot:
 
     def pointed_by_batch(self, objects: Sequence[int]) -> List[List[int]]:
         return [self.list_pointed_by(obj) for obj in objects]
+
+    def packed_batch(self, kind: str, operands: Sequence[int]) -> List[bytes]:
+        """:meth:`AliasService.packed_batch` at this snapshot's version."""
+        if kind not in PACKED_QUERIES:
+            raise ValueError("%r is not a list query" % (kind,))
+        return [self._packed(kind, operand) for operand in operands]
 
 
 def _is_delta_capable(path: str) -> bool:

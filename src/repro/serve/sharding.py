@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.flat import FlatIndex
+from ..core.flat import FlatIndex, pack_ids
 from ..obs import get_registry
 
 _REGISTRY = get_registry()
@@ -246,3 +246,15 @@ class ShardedIndex:
                 other_base = self._offsets[other]
                 result.extend(other_base + q for q in sorted(members))
         return result
+
+    # Packed answers (see FlatIndex.list_aliases_packed): a cross-shard
+    # answer is assembled as a list, so it is packed whole.
+
+    def list_aliases_packed(self, p: int) -> bytes:
+        return pack_ids(self.list_aliases(p))
+
+    def list_points_to_packed(self, p: int) -> bytes:
+        return pack_ids(self.list_points_to(p))
+
+    def list_pointed_by_packed(self, obj: int) -> bytes:
+        return pack_ids(self.list_pointed_by(obj))

@@ -176,6 +176,7 @@ class Container:
         self._lock = threading.RLock()
         self._appended = 0
         self._sections: List[Optional[List[int]]] = [None] * 10
+        self._parsed: set = set()  # sections parsed at least once
         self._timestamps: Optional[Tuple[List[Optional[int]], List[int]]] = None
         self._rects: Optional[List[Tuple[Rect, bool]]] = None
         self._origin_set: Optional[set] = None
@@ -390,7 +391,7 @@ class Container:
     def sections_materialized(self) -> int:
         """How many of the ten sections have been parsed so far."""
         with self._lock:
-            return sum(1 for section in self._sections if section is not None)
+            return len(self._parsed)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -495,6 +496,7 @@ class Container:
                     % (len(self._buffer) - reader.offset)
                 )
         self._sections[index] = values
+        self._parsed.add(index)
         _BYTES_PARSED.inc(reader.offset - offset)
         _REGISTRY.counter("repro_store_sections_materialized_total",
                           section=SECTION_NAMES[index]).inc()
@@ -536,6 +538,19 @@ class Container:
                 _validate_rects(self.n_groups, rects, self._origin_set)
                 self._rects = rects
             return self._rects
+
+    def release_parsed(self) -> None:
+        """Drop the parsed sections, timestamps and rectangles.
+
+        They only cache what the image bytes hold: a later accessor parses
+        and validates again.  An index calls this once it has derived its
+        own columns, so the parse does not stay resident beside them.
+        """
+        with self._lock:
+            self._sections = [None] * 10
+            self._timestamps = None
+            self._rects = None
+            self._origin_set = None
 
     def payload(self) -> PestriePayload:
         """Materialise everything into an eager, fully validated payload.

@@ -71,6 +71,21 @@ class TestProtocol:
         status, payload = protocol.split_response(protocol.encode_id_lists(rows))
         assert protocol.decode_id_lists(payload, 3) == rows
 
+    def test_packed_rows_round_trip(self):
+        rows = [[1, 2, 3], [], [9, 2 ** 32 - 1]]
+        packed = [struct.pack("<%dI" % len(row), *row) for row in rows]
+        body = protocol.encode_id_lists(packed)
+        # Packed rows go on the wire exactly as id rows would.
+        assert body == protocol.encode_id_lists(rows)
+        status, payload = protocol.split_response(body)
+        decoded = protocol.decode_id_lists(payload, 3)
+        assert decoded == rows
+        assert all(type(value) is int for row in decoded for value in row)
+
+    def test_packed_row_must_be_whole_ids(self):
+        with pytest.raises(ProtocolError, match="whole number"):
+            protocol.encode_id_lists([b"\x01\x00\x00\x00\x02"])
+
     def test_framing_rejects_bad_lengths(self):
         with pytest.raises(ProtocolError):
             protocol.frame(b"")
@@ -112,6 +127,15 @@ class TestProtocol:
         payload = struct.pack("<I", 0) + b"\x00"
         with pytest.raises(ProtocolError):
             protocol.decode_id_lists(payload, 1)
+        # A row cut short inside its ids, and a payload missing a row.
+        payload = struct.pack("<III", 2, 7, 8)
+        with pytest.raises(ProtocolError):
+            protocol.decode_id_lists(payload[:-1], 1)
+        with pytest.raises(ProtocolError):
+            protocol.decode_id_lists(payload, 2)
+        # An over-long row: more ids than the declared count.
+        with pytest.raises(ProtocolError, match="trailing"):
+            protocol.decode_id_lists(payload + struct.pack("<I", 9), 1)
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,10 @@ Three contracts around :class:`repro.core.flat.FlatIndex`:
   ``CorruptFileError`` at the first query.
 """
 
+import gc
 import struct
 import threading
+import tracemalloc
 
 import pytest
 
@@ -147,6 +149,33 @@ class TestSelection:
                         == getattr(mapped, column).tobytes()), name
         finally:
             mapped.close()
+
+    def test_lazy_v3_keeps_only_its_columns(self, tmp_path):
+        """After its first list answer a lazy v3 index holds its derived
+        columns and run table, not the container's parsed sections."""
+        matrix = make_random_matrix(600, 120, 0.04, seed=3)
+        path = _write(tmp_path, "image.pst", encode(matrix, order="hub", version=3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = open_index(path)
+            answer = index.list_aliases(0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        try:
+            assert sorted(answer) == matrix.list_aliases(0)
+            columns = index.memory_footprint() + index._run_starts.itemsize * (
+                index.n_groups + 1)
+            assert held <= columns + 64 * 1024, (held, columns)
+            # The rectangles are re-read on demand.
+            assert set(index.iter_alias_pairs()) == {
+                (p, q) for p in range(matrix.n_pointers)
+                for q in matrix.list_aliases(p) if p < q}
+        finally:
+            index.close()
 
     def test_eager_close_is_a_noop(self, matrix, v4_bytes):
         index = index_from_bytes(v4_bytes)
@@ -385,6 +414,54 @@ class TestForgedStructuralViolations:
         try:
             with pytest.raises(CorruptFileError, match="tracked"):
                 flat.list_pointed_by(0)
+        finally:
+            flat.close()
+
+    @pytest.mark.parametrize("section", ["ent_y2", "c1_x2"])
+    @pytest.mark.parametrize("query", ["list_aliases", "list_pointed_by"])
+    def test_forged_span_past_group_range_fails_at_first_list_query(
+            self, v4_bytes, section, query):
+        # Span ends index the run-start table; one past n_groups must be a
+        # CorruptFileError at the table's build, never an IndexError.
+        layout = _layout(v4_bytes)
+        assert layout["counts"][2] and layout["counts"][3]  # entries, spans
+        forged = self._forge_word(v4_bytes, section, 0, layout["n_groups"])
+        flat = index_from_bytes(forged, lazy=True)
+        try:
+            flat.is_alias_batch([(0, 1)])  # is_alias never builds the table
+            with pytest.raises(CorruptFileError, match="%s entry outside group"
+                               % section):
+                getattr(flat, query)(0)
+        finally:
+            flat.close()
+
+    def test_forged_pointer_missing_from_its_timestamp_group(self, v4_bytes):
+        layout = _layout(v4_bytes)
+        slot = 0
+        pointer = _get_word(v4_bytes, layout, "sorted_ptr_id", slot)
+        stand_in = (pointer + 1) % layout["n_pointers"]
+        forged = self._forge_word(v4_bytes, "sorted_ptr_id", slot, stand_in)
+        flat = index_from_bytes(forged, lazy=True)
+        try:
+            with pytest.raises(CorruptFileError, match="timestamp group"):
+                flat.list_aliases(pointer)
+        finally:
+            flat.close()
+
+    def test_forged_pointer_timestamp_past_group_range(self, v4_bytes):
+        # The classic pointer timestamps are not range-checked at open; a
+        # list query must still refuse one outside p's PES block cleanly.
+        layout = _layout(v4_bytes)
+        with Container.from_bytes(v4_bytes) as container:
+            offset = container._section_offsets[0]
+        pointer = next(p for p in range(layout["n_pointers"])
+                       if _get_word(v4_bytes, layout, "pes_rank", p) != ABSENT)
+        forged = _reforged(v4_bytes, lambda blob: struct.pack_into(
+            "<I", blob, offset + 4 * pointer, layout["n_groups"] + 3))
+        flat = index_from_bytes(forged, lazy=True)
+        try:
+            with pytest.raises(CorruptFileError, match="timestamp group"):
+                flat.list_aliases(pointer)
         finally:
             flat.close()
 

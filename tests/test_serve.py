@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from repro.core.pipeline import encode, index_from_bytes
+from repro.core.flat import unpack_ids
+from repro.core.pipeline import encode, index_from_bytes, persist
 from repro.delta import DeltaLog, OverlayIndex
 from repro.matrix.points_to import PointsToMatrix
 from repro.serve import AliasService, LRUCache, ShardedIndex
@@ -198,6 +199,28 @@ class TestAliasService:
         assert "is_alias" in rendered and "hit rate" in rendered
         service.reset_stats()
         assert service.stats().total_queries == 0
+
+    def test_packed_batch_matches_lists(self, matrix, service):
+        for kind, many in (("list_aliases", service.list_aliases_many),
+                           ("list_points_to", service.points_to_batch)):
+            operands = list(range(matrix.n_pointers))
+            packed = service.packed_batch(kind, operands)
+            assert all(type(row) is bytes for row in packed)
+            assert [unpack_ids(row) for row in packed] == many(operands)
+        with pytest.raises(ValueError):
+            service.packed_batch("is_alias", [0])
+
+    def test_cached_answers_outlive_a_closed_lazy_index(self, matrix, tmp_path):
+        # The cache owns its bytes: no view into the mapping survives in it,
+        # so close() unmaps cleanly and cached answers stay readable.
+        path = str(tmp_path / "m.pes")
+        persist(matrix, path, version=4)
+        service = AliasService.from_files([path], lazy=True)
+        first = service.list_aliases_many([0, 1, 2])
+        pointed = service.list_pointed_by(0)
+        service.close()
+        assert service.list_aliases_many([0, 1, 2]) == first
+        assert service.list_pointed_by(0) == pointed
 
     def test_clear_cache(self, service):
         service.is_alias(0, 1)
