@@ -29,7 +29,7 @@ from .matrix import (
     pointer_equivalence,
 )
 from .obs import get_registry, trace
-from .serve import AliasService, ShardedIndex
+from .serve import AliasService
 
 __version__ = "1.0.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "AliasService",
     "FlatIndex",
     "PointsToMatrix",
-    "ShardedIndex",
     "SparseBitmap",
     "build_pestrie",
     "encode",

@@ -372,7 +372,7 @@ def cmd_serve_stats(args: argparse.Namespace) -> int:
     from .bench.workloads import IS_ALIAS, TraceSpec, generate_trace
     from .serve import AliasService
 
-    service = AliasService.from_files(args.files, cache_size=args.cache_size)
+    service = AliasService.from_files([args.file], cache_size=args.cache_size)
     trace = generate_trace(
         TraceSpec(length=args.queries, seed=args.seed),
         pointers=list(range(service.n_pointers)),
@@ -398,9 +398,8 @@ def cmd_serve_stats(args: argparse.Namespace) -> int:
             getattr(service, kind)(*operands)
     elapsed = time.perf_counter() - start
 
-    shards = getattr(service.backend, "shard_count", 1)
-    print("%d file(s), %d shard(s), %d pointers, %d objects"
-          % (len(args.files), shards, service.n_pointers, service.n_objects))
+    print("%s: %d pointers, %d objects"
+          % (args.file, service.n_pointers, service.n_objects))
     print("replayed %d queries in %.3fs (%.0f queries/s, batch size %d)"
           % (len(trace), elapsed, len(trace) / max(elapsed, 1e-9), args.batch_size))
     print(service.stats().render())
@@ -408,21 +407,21 @@ def cmd_serve_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_daemon(args: argparse.Namespace) -> int:
-    """Serve .pes files over a unix socket (single process or pre-fork)."""
+    """Serve a .pes file over a unix socket (single process or pre-fork)."""
     from .daemon import run_daemon, run_workers
     from .serve import AliasService
 
     if args.workers > 1:
         return run_workers(
-            args.files, args.socket, args.workers,
+            args.file, args.socket, args.workers,
             http_port=args.http_port,
             cache_size=args.cache_size, max_pending=args.max_pending,
         )
-    service = AliasService.from_files(args.files, lazy=True,
+    service = AliasService.from_files([args.file], lazy=True,
                                       cache_size=args.cache_size)
     try:
-        print("daemon: serving %d file(s) on %s%s"
-              % (len(args.files), args.socket,
+        print("daemon: serving %s on %s%s"
+              % (args.file, args.socket,
                  "" if args.http_port is None
                  else " (http on port %d)" % args.http_port),
               file=sys.stderr, flush=True)
@@ -731,9 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a mixed query workload through the AliasService and "
              "report throughput, cache hit rate, and latency quantiles",
     )
-    serve_stats.add_argument("files", nargs="+",
-                             help=".pes shard files (pointer-id ranges stack "
-                                  "in argument order)")
+    serve_stats.add_argument("file", help=".pes file to serve")
     serve_stats.add_argument("--queries", type=int, default=10_000,
                              help="workload length (default 10000)")
     serve_stats.add_argument("--seed", type=int, default=0)
@@ -745,12 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     daemon = sub.add_parser(
         "daemon",
-        help="serve .pes files to out-of-process clients over a unix socket "
+        help="serve a .pes file to out-of-process clients over a unix socket "
              "(binary batch protocol + /metrics HTTP endpoint)",
     )
-    daemon.add_argument("files", nargs="+",
-                        help=".pes shard files (pointer-id ranges stack in "
-                             "argument order)")
+    daemon.add_argument("file", help=".pes file to serve")
     daemon.add_argument("--socket", required=True, metavar="PATH",
                         help="unix socket path to listen on")
     daemon.add_argument("--http-port", type=int, default=None, metavar="PORT",

@@ -254,15 +254,8 @@ PACKED_QUERIES = {
 
 
 def packed_answer(backend, kind: str, operand: int) -> bytes:
-    """``backend``'s ``kind`` answer for ``operand`` as packed bytes.
-
-    Uses the backend's packed method when it has one (every backend in
-    this package does); a duck-typed backend's list is packed here.
-    """
-    packed = getattr(backend, PACKED_QUERIES[kind], None)
-    if packed is not None:
-        return packed(operand)
-    return pack_ids(getattr(backend, kind)(operand))
+    """``backend``'s ``kind`` answer for ``operand`` as packed bytes."""
+    return getattr(backend, PACKED_QUERIES[kind])(operand)
 
 
 def _join_runs(runs: List[memoryview]) -> bytes:

@@ -1,9 +1,9 @@
 """Process-level daemon entry points: single-process and pre-fork serving.
 
 The pre-fork mode is the payoff of the mmap storage layer: the parent
-binds the unix socket and opens the service **lazily** (headers only,
-sections still unmaterialised), then forks N workers that all inherit the
-listening socket and the mapped file.  The kernel load-balances
+binds the unix socket and opens the service's one file **lazily**
+(headers only, sections still unmaterialised), then forks N workers that
+all inherit the listening socket and the mapped file.  The kernel load-balances
 ``accept()`` across the workers, and the mapped pages — the persisted
 index itself — are shared read-only between every process, so N workers
 cost N python heaps but only one copy of the index bytes.  This is the
@@ -25,7 +25,7 @@ import os
 import signal
 import socket
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..obs import get_flight_recorder, install_signal_dump
 from .server import DEFAULT_MAX_PENDING, AliasDaemon
@@ -94,7 +94,7 @@ def run_daemon(service, socket_path: str, http_port: Optional[int] = None,
     return 0
 
 
-def run_workers(paths: Sequence[str], socket_path: str, workers: int,
+def run_workers(path: str, socket_path: str, workers: int,
                 http_port: Optional[int] = None,
                 http_host: str = "127.0.0.1", *,
                 cache_size: int = 4096,
@@ -102,7 +102,7 @@ def run_workers(paths: Sequence[str], socket_path: str, workers: int,
                 status_stream=None) -> int:
     """Pre-fork ``workers`` processes over one socket and one mapped index.
 
-    The parent binds the socket and opens the files lazily (mmap, headers
+    The parent binds the socket and opens ``path`` lazily (mmap, headers
     only), forks, then supervises: SIGINT/SIGTERM fan out to the workers,
     and one worker dying unexpectedly takes the fleet down (a half-dead
     fleet silently serving at reduced capacity is an outage that hides).
@@ -118,7 +118,7 @@ def run_workers(paths: Sequence[str], socket_path: str, workers: int,
     try:
         # Lazy open: only headers are decoded here, so the fork below
         # duplicates a tiny heap and the mapped index pages stay shared.
-        service = AliasService.from_files(list(paths), lazy=True,
+        service = AliasService.from_files([path], lazy=True,
                                           cache_size=cache_size)
     except BaseException:
         sock.close()

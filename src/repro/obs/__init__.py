@@ -39,7 +39,6 @@ from .cost import (
     note_cache_miss,
     note_epoch,
     note_replay_depth,
-    note_shard_fanout,
 )
 from .diagnostics import (
     DEFAULT_SLOW_CAPACITY,
@@ -97,7 +96,6 @@ __all__ = [
     "note_cache_miss",
     "note_epoch",
     "note_replay_depth",
-    "note_shard_fanout",
     "record_delta_health",
     "record_index_footprint",
     "sample_profile",

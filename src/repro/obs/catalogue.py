@@ -11,9 +11,8 @@ Naming conventions
 * counters end in ``_total``, byte gauges in ``_bytes``, timing
   histograms in ``_seconds``;
 * label keys are lowercase: ``kind`` (Table 1 query kind), ``case``
-  (rectangle case), ``scope`` (``same``/``cross`` shard), ``result``
-  (``ok``/``corrupt``), ``service`` (per-``ServiceStats`` instance id),
-  ``name`` (span name), ``op`` (daemon request opcode) and ``status``
+  (rectangle case), ``result`` (``ok``/``corrupt``), ``service``
+  (per-``ServiceStats`` instance id), ``name`` (span name), ``op`` (daemon request opcode) and ``status``
   (daemon response status).
 """
 
@@ -71,9 +70,6 @@ CATALOGUE = {
     # --- result cache (serve/cache.py) --------------------------------
     "repro_cache_evictions_total": (COUNTER, "LRU result-cache capacity evictions."),
     "repro_cache_invalidated_total": (COUNTER, "Result-cache entries dropped by targeted invalidation."),
-    # --- sharding (serve/sharding.py) ---------------------------------
-    "repro_shard_queries_total": (COUNTER, "Sharded-index queries, by same/cross shard scope."),
-    "repro_shard_swaps_total": (COUNTER, "In-place shard hot swaps."),
     # --- daemon (daemon/server.py) ------------------------------------
     "repro_daemon_connections_total": (COUNTER, "Binary-protocol connections accepted by the daemon."),
     "repro_daemon_open_connections": (GAUGE, "Binary-protocol connections currently open."),

@@ -14,10 +14,10 @@ case), every ``add_*``/``note_*`` helper returns after one thread-local
 attribute read and a truthiness check — cheap enough to leave the hooks on
 permanently, like the tracer's disabled spans.
 
-Nesting: contexts stack.  A batch query may open one ``measure()`` while
-the sharded backend opens another per shard; on exit a child folds its
-counters into its parent (additively for counters, ``max`` for depth and
-fan-out), so the outermost context always sees the whole call's cost.
+Nesting: contexts stack.  The daemon opens one ``measure()`` per request
+while the service opens another per batch call; on exit a child folds its
+counters into its parent (additively for counters, ``max`` for depth), so
+the outermost context always sees the whole call's cost.
 
 Thread-locality: a context only observes work on the thread that entered
 it.  The daemon runs each request's service work on a single executor
@@ -41,7 +41,6 @@ __all__ = [
     "note_cache_hit",
     "note_cache_miss",
     "note_replay_depth",
-    "note_shard_fanout",
     "note_epoch",
 ]
 
@@ -56,7 +55,6 @@ class QueryCost:
         "cache_misses",
         "replay_depth",
         "epoch",
-        "shard_fanout",
         "queries",
         "seconds",
         "coalesced",
@@ -71,8 +69,6 @@ class QueryCost:
         self.replay_depth = 0
         #: MVCC epoch the query was answered at (``None`` outside MVCC).
         self.epoch: Optional[int] = None
-        #: Shards consulted (1 for an unsharded backend).
-        self.shard_fanout = 0
         #: Queries covered by the measured call (> 1 for a batch).
         self.queries = 0
         self.seconds = 0.0
@@ -89,7 +85,6 @@ class QueryCost:
         self.cache_misses += child.cache_misses
         self.queries += child.queries
         self.replay_depth = max(self.replay_depth, child.replay_depth)
-        self.shard_fanout = max(self.shard_fanout, child.shard_fanout)
         if self.epoch is None:
             self.epoch = child.epoch
 
@@ -101,7 +96,6 @@ class QueryCost:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "replay_depth": self.replay_depth,
-            "shard_fanout": self.shard_fanout,
             "queries": self.queries,
             "seconds": round(self.seconds, 6),
         }
@@ -119,7 +113,6 @@ class QueryCost:
             "cache                   %d hit / %d miss"
             % (self.cache_hits, self.cache_misses),
             "replay_depth            %d" % self.replay_depth,
-            "shard_fanout            %d" % self.shard_fanout,
             "queries                 %d" % self.queries,
             "seconds                 %.6f" % self.seconds,
         ]
@@ -137,8 +130,6 @@ class QueryCost:
             "cache %d/%d" % (self.cache_hits, self.cache_hits + self.cache_misses),
             "depth %d" % self.replay_depth,
         ]
-        if self.shard_fanout > 1:
-            parts.append("fanout %d" % self.shard_fanout)
         if self.epoch is not None:
             parts.append("epoch %d" % self.epoch)
         return ", ".join(parts)
@@ -237,14 +228,6 @@ def note_replay_depth(depth: int) -> None:
         top = stack[-1]
         if depth > top.replay_depth:
             top.replay_depth = depth
-
-
-def note_shard_fanout(count: int) -> None:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack:
-        top = stack[-1]
-        if count > top.shard_fanout:
-            top.shard_fanout = count
 
 
 def note_epoch(epoch: Optional[int]) -> None:

@@ -1,15 +1,13 @@
 """repro.serve — the high-throughput alias query service layer.
 
-Production front-end over decoded Pestrie indexes: multi-file sharding by
-pointer-id range (:class:`ShardedIndex`), a thread-safe instrumented
-service with batch APIs and a bounded LRU result cache
+Production front-end over one decoded Pestrie index: a thread-safe
+instrumented service with batch APIs and a bounded LRU result cache
 (:class:`AliasService`), and the statistics objects behind the
 ``repro-pestrie serve-stats`` CLI subcommand.
 """
 
 from .cache import LRUCache
 from .service import AliasService, AliasSnapshot
-from .sharding import ShardedIndex
 from .stats import QUERY_KINDS, ServiceStats, StatsSnapshot
 
 __all__ = [
@@ -18,6 +16,5 @@ __all__ = [
     "LRUCache",
     "QUERY_KINDS",
     "ServiceStats",
-    "ShardedIndex",
     "StatsSnapshot",
 ]

@@ -1,7 +1,7 @@
 """The alias query service: a thread-safe, instrumented query front-end.
 
-:class:`AliasService` fronts one or more loaded query indexes and is what
-a long-running process (an IDE daemon, a CI bot, an analysis server)
+:class:`AliasService` fronts one loaded query index and is what a
+long-running process (an IDE daemon, a CI bot, an analysis server)
 should talk to instead of a raw :class:`FlatIndex`:
 
 * **thread safety** — the underlying query structures are immutable after
@@ -43,7 +43,6 @@ from ..obs import DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_THRESHOLD, SlowQuery, Slow
 from ..obs.cost import QueryCost, current_cost, measure, note_cache_hit
 from ..obs.tracing import trace
 from .cache import LRUCache
-from .sharding import ShardedIndex
 from .stats import DEFAULT_WINDOW, ServiceStats, StatsSnapshot
 
 _MISS = object()
@@ -57,7 +56,7 @@ def _fill_cost(cost: QueryCost, backend, epoch: int, hits: int, misses: int,
     daemon's per-request one) inherits the values through the exit merge.
     The byte/section counters arrive separately via the store layer's
     hooks; this fills in what only the service knows: the cache outcome,
-    the epoch answered at, and the backend's replay depth / shard fan-out.
+    the epoch answered at, and the backend's replay depth.
     """
     cost.cache_hits += hits
     cost.cache_misses += misses
@@ -66,18 +65,14 @@ def _fill_cost(cost: QueryCost, backend, epoch: int, hits: int, misses: int,
     depth = getattr(backend, "generation", 0)
     if depth > cost.replay_depth:
         cost.replay_depth = depth
-    fanout = getattr(backend, "shard_count", 1)
-    if fanout > cost.shard_fanout:
-        cost.shard_fanout = fanout
 
 
 class AliasService:
-    """Serve Table 1 queries from one or more decoded Pestrie indexes.
+    """Serve Table 1 queries from one decoded Pestrie index.
 
-    ``backend`` is anything speaking the Table 1 protocol — a
-    :class:`FlatIndex`, a :class:`ShardedIndex`, or a compatible object
-    (its optional ``is_alias_batch`` / ``column_of`` methods are used when
-    present).  Use the classmethods to build one from indexes or files.
+    ``backend`` is a :class:`FlatIndex` or an
+    :class:`~repro.delta.OverlayIndex` over one.  Use the classmethods to
+    build one from an index or a file.
     """
 
     def __init__(self, backend, cache_size: int = 4096,
@@ -92,7 +87,6 @@ class AliasService:
         self._slow = SlowQueryLog(threshold=slow_query_threshold,
                                   capacity=slow_log_capacity,
                                   service=self._stats.service)
-        self._column_of = getattr(backend, "column_of", None)
         # Serialises writers (apply_delta, prune_versions) against each
         # other and against version resolution (as_of, versions()); the
         # query paths never take it.
@@ -111,35 +105,28 @@ class AliasService:
         return cls(index, **options)
 
     @classmethod
-    def from_indexes(cls, indexes: Sequence[FlatIndex], **options) -> "AliasService":
-        """Front several indexes, sharded by pointer-id range (stacked in order)."""
-        if len(indexes) == 1:
-            return cls(indexes[0], **options)
-        return cls(ShardedIndex(indexes), **options)
-
-    @classmethod
     def from_files(cls, paths: Sequence[str], lazy: bool = False,
                    **options) -> "AliasService":
-        """Serve one or more persistent files (``lazy=True`` defers decode
-        of each shard to the first query routed to it).
+        """Serve one persistent file (``lazy=True`` defers section decode
+        to the first query).
 
-        A single ``PESTRIE3``/``PESTRIE4`` file is opened through the
-        versioned loader: the service starts at the file's epoch head with
-        the whole on-disk version history answerable via :meth:`as_of`.
-        Sharded (multi-file) services start at version 0 with in-memory
-        history only.
+        ``paths`` must name exactly one file; any other count raises
+        ``ValueError`` before anything is opened.  A ``PESTRIE3``/
+        ``PESTRIE4`` file is opened through the versioned loader: the
+        service starts at the file's epoch head with the whole on-disk
+        version history answerable via :meth:`as_of`.
         """
         from ..core.pipeline import load_index
 
+        if len(paths) != 1:
+            raise ValueError("a service fronts exactly one file, got %d"
+                             % len(paths))
         versioned: Optional[VersionedOverlay] = None
-        if len(paths) == 1:
-            if _is_delta_capable(paths[0]):
-                versioned = load_versions(paths[0], lazy=lazy)
-                backend = versioned.head_overlay()
-            else:
-                backend = load_index(paths[0], lazy=lazy)
+        if _is_delta_capable(paths[0]):
+            versioned = load_versions(paths[0], lazy=lazy)
+            backend = versioned.head_overlay()
         else:
-            backend = ShardedIndex.from_files(paths, lazy=lazy)
+            backend = load_index(paths[0], lazy=lazy)
         try:
             service = cls(backend, **options)
             if versioned is not None:
@@ -152,13 +139,10 @@ class AliasService:
             # The service never owned the backend: close the mappings we
             # just opened instead of leaking them (a close failure must not
             # mask the constructor's error).
-            close = getattr(versioned if versioned is not None else backend,
-                            "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:
-                    pass
+            try:
+                (versioned if versioned is not None else backend).close()
+            except Exception:
+                pass
             raise
 
     # ------------------------------------------------------------------
@@ -207,18 +191,16 @@ class AliasService:
     def close(self) -> None:
         """Release the backend's mapped resources, if it holds any.
 
-        Lazy (mmap-backed) backends free their containers; eager backends
-        and overlays without a ``close`` are a no-op.  The service object
-        itself stays constructed — queries after close fail with
+        Lazy (mmap-backed) backends free their containers; for an eager
+        backend this is a no-op.  The service object itself stays
+        constructed — queries after close fail with
         ``ContainerClosedError`` from the backend, not with attribute
         errors from a half-torn-down service.
         """
         if self._versioned is not None:
             self._versioned.close()
             return
-        close = getattr(self._backend, "close", None)
-        if close is not None:
-            close()
+        self._backend.close()
 
     # ------------------------------------------------------------------
     # Live updates
@@ -228,10 +210,9 @@ class AliasService:
         """Apply an edit script to the live service; readers never pause.
 
         The backend is swapped for a delta-extended one (an
-        :class:`~repro.delta.OverlayIndex` over the current base, or a
-        shard-wise overlay for a :class:`ShardedIndex`), then exactly the
-        cache entries the delta could have changed are dropped.  Swap
-        happens *before* invalidation: in the window between them a reader
+        :class:`~repro.delta.OverlayIndex` over the current base), then
+        exactly the cache entries the delta could have changed are
+        dropped.  Swap happens *before* invalidation: in the window between them a reader
         can only cache answers from the *new* backend — and any in-flight
         pre-swap computation is discarded by the cache's epoch guard.
 
@@ -261,7 +242,6 @@ class AliasService:
                 affected.update(new.list_pointed_by(obj))
 
             self._backend = new
-            self._column_of = getattr(new, "column_of", None)
             self._version += 1
             self._history[self._version] = new
 
@@ -287,15 +267,7 @@ class AliasService:
     def _extended_backend(backend, log: DeltaLog):
         if isinstance(backend, OverlayIndex):
             return backend.extend(log)
-        if isinstance(backend, ShardedIndex):
-            return backend.with_delta(log)
-        if hasattr(backend, "points_to_contains"):
-            # Any Table 1 backend takes the generic overlay — FlatIndex or a
-            # compatible duck-typed index.
-            return OverlayIndex(backend, log)
-        raise TypeError(
-            "backend %r does not support live deltas" % type(backend).__name__
-        )
+        return OverlayIndex(backend, log)
 
     # ------------------------------------------------------------------
     # Time travel
@@ -555,11 +527,7 @@ class AliasService:
                 with trace.span("serve.is_alias", batch=len(pairs)), \
                         trace.span("index.answer",
                                    backend=type(backend).__name__):
-                    batch = getattr(backend, "is_alias_batch", None)
-                    if batch is not None:
-                        answers = batch(unique)
-                    else:
-                        answers = [backend.is_alias(p, q) for p, q in unique]
+                    answers = backend.is_alias_batch(unique)
                 _fill_cost(cost, backend, self._version,
                            hits, len(pairs) - hits, len(pairs))
             for norm, answer in zip(unique, answers):
@@ -616,14 +584,12 @@ class AliasService:
         if pending:
             unique = list(pending)
             # Epoch before backend — the batch-wide stale-put guard; see
-            # is_alias_batch.  backend and column_of are captured once so
-            # the whole batch resolves against one snapshot (column_of may
-            # belong to an older backend than `backend`, but it is only a
-            # sort key for locality, never an answer).
+            # is_alias_batch.  The backend is captured once so the whole
+            # batch resolves against one snapshot.
             epoch = self._cache.epoch
             backend = self._backend
-            column_of = self._column_of
-            if kind != "list_pointed_by" and column_of is not None:
+            if kind != "list_pointed_by":
+                column_of = backend.column_of
                 # Column-sorted resolution: consecutive misses touch
                 # neighbouring slabs, keeping the lookups cache-friendly.
                 unique.sort(key=lambda operand: _column_key(column_of, operand))

@@ -1,7 +1,7 @@
 """Unified storage layer: mmap-backed containers, lazy section access.
 
 Every layer that opens persisted bytes — the eager decoder, the pipeline
-loaders, the sharded server, the delta appender, the baseline persistence,
+loaders, the alias service, the delta appender, the baseline persistence,
 the CLI — goes through this package.  See :mod:`repro.store.container` for
 the access-layer semantics.
 

@@ -160,22 +160,41 @@ class TestServeStats:
     def test_single_file(self, pes_file, capsys):
         assert main(["serve-stats", pes_file, "--queries", "500"]) == 0
         captured = capsys.readouterr().out
-        assert "1 shard(s), 7 pointers, 5 objects" in captured
+        assert "%s: 7 pointers, 5 objects" % pes_file in captured
         assert "replayed 500 queries" in captured
         assert "hit rate" in captured
         assert "is_alias" in captured
 
-    def test_sharded_and_unbatched(self, pes_file, capsys):
-        assert main(["serve-stats", pes_file, pes_file,
+    def test_unbatched_and_uncached(self, pes_file, capsys):
+        assert main(["serve-stats", pes_file,
                      "--queries", "200", "--batch-size", "1",
                      "--cache-size", "0"]) == 0
         captured = capsys.readouterr().out
-        assert "2 shard(s), 14 pointers, 5 objects" in captured
+        assert "7 pointers, 5 objects" in captured
         assert "0.0% hit rate" in captured
+
+    def test_second_file_is_rejected(self, pes_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-stats", pes_file, pes_file])
+        assert exit_info.value.code != 0
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["serve-stats", str(tmp_path / "nope.pes")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestDaemonArguments:
+    def test_second_file_is_rejected_before_serving(self, pm_file, tmp_path,
+                                                    capsys):
+        pes = str(tmp_path / "paper.pes")
+        main(["encode", pm_file, pes])
+        sock = str(tmp_path / "d.sock")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["daemon", pes, pes, "--socket", sock])
+        assert exit_info.value.code != 0
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists(sock)  # no daemon ever bound it
 
 
 class TestFormatVersionFlag:
@@ -284,7 +303,7 @@ class TestQueryExplain:
     # The breakdown's shape is a golden contract: fixed labels, fixed
     # order, one value column.  Only the values vary run to run.
     GOLDEN_LABELS = ["bytes_parsed", "sections_materialized", "cache",
-                     "replay_depth", "shard_fanout", "queries", "seconds"]
+                     "replay_depth", "queries", "seconds"]
 
     def test_explain_prints_golden_breakdown(self, pes_file, capsys):
         assert main(["query", pes_file, "is_alias", "0", "1",
@@ -295,7 +314,7 @@ class TestQueryExplain:
         assert [line.split()[0] for line in lines[2:]] == self.GOLDEN_LABELS
         parsed = int(lines[2].split()[1])
         assert parsed > 0  # the lazy open charges the parse to this query
-        assert lines[7].split()[1] == "1"  # queries
+        assert lines[6].split()[1] == "1"  # queries
 
     def test_explain_with_as_of_reports_the_epoch(self, pes_file, capsys):
         assert main(["delta-append", pes_file, "--insert", "0:1"]) == 0

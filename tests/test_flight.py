@@ -25,7 +25,6 @@ from repro.obs import (
     note_cache_miss,
     note_epoch,
     note_replay_depth,
-    note_shard_fanout,
     sample_profile,
 )
 
@@ -43,7 +42,6 @@ class TestQueryCost:
         note_cache_hit()
         note_cache_miss()
         note_replay_depth(3)
-        note_shard_fanout(2)
         note_epoch(7)
         assert current_cost() is None
 
@@ -56,7 +54,6 @@ class TestQueryCost:
             note_cache_hit()
             note_cache_miss()
             note_replay_depth(2)
-            note_shard_fanout(3)
             note_epoch(5)
         assert current_cost() is None
         assert cost.bytes_parsed == 100
@@ -64,13 +61,13 @@ class TestQueryCost:
         assert cost.cache_hits == 1
         assert cost.cache_misses == 1
         assert cost.replay_depth == 2
-        assert cost.shard_fanout == 3
         assert cost.epoch == 5
         assert cost.seconds > 0.0
 
     def test_nested_contexts_merge_into_parent(self):
         with measure() as outer:
             add_parsed_bytes(10)
+            note_replay_depth(1)
             with measure() as inner:
                 add_parsed_bytes(5)
                 note_replay_depth(4)
